@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .contact_kernel import (
     ContactModel,
+    EigenFailure,
     ModelError,
     UnknownModel,
     anosov_model,
@@ -33,12 +34,12 @@ from .torus_builder import (
     NonConstantG,
     boundary_transversality_check,
     build_mapping_torus,
+    constant_roof,
     count_clusters,
     cross_section,
     descent_check,
     export_cloud_csv,
     iterate_attractor,
-    section_cloud,
     skeleton_analysis,
     suggested_section_gap,
 )
@@ -105,37 +106,43 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
         sys.stdout.write(text)
 
 
-def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict]:
+def _spectrum_request(args: argparse.Namespace) -> SpectrumRequest:
+    return SpectrumRequest(
+        n=args.n,
+        mu=tuple(args.mu or ()),
+        eps=args.eps,
+        k1_max=args.k1_max,
+        seed=args.seed,
+    )
+
+
+def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict] | int:
+    """The requested model and the report entries its construction adds, or
+    the exit code once the reason it could not be built has been reported."""
     name = args.model.replace("-", "_")
-    if name == "anosov":
-        request = SpectrumRequest(
-            n=args.n,
-            mu=tuple(args.mu or ()),
-            eps=args.eps,
-            k1_max=args.k1_max,
-            seed=args.seed,
-        )
-        cert = find_matrix(request)
-        return anosov_model(cert.matrix, cert), {
-            "spectrum_certificate": cert.to_dict()
-        }
-    params = {}
-    if name == "transverse_knot":
-        params = {"c": args.c, "delta": args.delta, "eps": args.knot_eps}
-    return builtin_model(name, params), {}
+    try:
+        if name == "anosov":
+            cert = find_matrix(_spectrum_request(args))
+            return anosov_model(cert.matrix, cert), {
+                "spectrum_certificate": cert.to_dict()
+            }
+        params = {}
+        if name == "transverse_knot":
+            params = {"c": args.c, "delta": args.delta, "eps": args.knot_eps}
+        return builtin_model(name, params), {}
+    except (ValueError, UnknownModel, ModelError, EigenFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SearchExhausted as exc:
+        _write_report(args, args.command, "not-found", {"error": str(exc)})
+        return 3
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_find_matrix(args: argparse.Namespace) -> int:
     try:
-        request = SpectrumRequest(
-            n=args.n,
-            mu=tuple(args.mu or ()),
-            eps=args.eps,
-            k1_max=args.k1_max,
-            seed=args.seed,
-        )
+        request = _spectrum_request(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -149,14 +156,10 @@ def cmd_find_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        model, extra = _build_model(args)
-    except (ValueError, UnknownModel, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchExhausted as exc:
-        _write_report(args, "certify", "not-found", {"error": str(exc)})
-        return 3
+    built = _build_model(args)
+    if isinstance(built, int):
+        return built
+    model, extra = built
     cert = certify_contraction(
         model, samples=args.samples, tol=args.tol, rng_seed=args.seed
     )
@@ -167,14 +170,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_skeleton(args: argparse.Namespace) -> int:
-    try:
-        model, extra = _build_model(args)
-    except (ValueError, UnknownModel, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchExhausted as exc:
-        _write_report(args, "skeleton", "not-found", {"error": str(exc)})
-        return 3
+    built = _build_model(args)
+    if isinstance(built, int):
+        return built
+    model, extra = built
     threads = resolve_threads(args.threads)
     theta0 = args.section if args.section is not None else 0.0
     try:
@@ -187,6 +186,8 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             theta0=theta0,
             threads=threads,
         )
+        if args.section is not None:
+            pts2 = cross_section(analysis.sample, args.section, args.thickness)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,17 +196,6 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
     csv_points = None
     csv_names = None
     if args.section is not None:
-        mult = int(model.params.get("angle_multiplier", 1))
-        branches = max(1, mult**args.depth)
-        sample = section_cloud(
-            model,
-            args.depth,
-            max(8, args.seeds // branches),
-            theta0=args.section,
-            rng_seed=args.seed,
-            threads=threads,
-        )
-        pts2 = cross_section(sample, args.section, args.thickness)
         section_info: dict = {"theta0": args.section, "points": len(pts2)}
         if "rate_y" in model.params:
             sub = pts2[:: max(1, len(pts2) // 4096)]
@@ -214,11 +204,13 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             )
         results["section"] = section_info
         csv_points = pts2
-        csv_names = [model.chart.names[i] for i in sample.meta["interval_idx"]]
+        csv_names = [model.chart.names[i] for i in analysis.sample.meta["interval_idx"]]
     elif args.csv_out:
-        sample = iterate_attractor(
-            model, args.depth, args.seeds, rng_seed=args.seed, threads=threads
-        )
+        sample = analysis.sample
+        if analysis.route != "cloud":
+            sample = iterate_attractor(
+                model, args.depth, args.seeds, rng_seed=args.seed, threads=threads
+            )
         csv_points = sample.points
         csv_names = list(model.chart.names)
 
@@ -231,23 +223,15 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
 
 
 def cmd_descent(args: argparse.Namespace) -> int:
-    try:
-        model, extra = _build_model(args)
-    except (ValueError, UnknownModel, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchExhausted as exc:
-        _write_report(args, "descent", "not-found", {"error": str(exc)})
-        return 3
+    built = _build_model(args)
+    if isinstance(built, int):
+        return built
+    model, extra = built
     try:
         if args.force_G is not None:
             g0 = float(args.force_G)
-
-            def forced(pts):
-                return np.full(np.atleast_2d(pts).shape[0], g0)
-
             torus = MappingTorusModel(
-                base=model, G=GExtension(forced, "forced", g0), tilt_eps=args.tilt_eps
+                base=model, G=GExtension(constant_roof(g0), "forced", g0), tilt_eps=args.tilt_eps
             )
         else:
             torus = build_mapping_torus(
@@ -363,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "find-matrix" and len(args.mu) != args.n - 2:
-        parser.error(f"--mu must supply exactly {args.n - 2} values for --n {args.n}")
-    if getattr(args, "model", "").replace("-", "_") == "anosov" and len(args.mu) != args.n - 2:
+    needs_mu = args.command == "find-matrix" or getattr(args, "model", "") == "anosov"
+    if needs_mu and len(args.mu) != args.n - 2:
         parser.error(f"--mu must supply exactly {args.n - 2} values for --n {args.n}")
     return args.func(args)
 

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Central-difference step for Jacobians and for d(alpha) in the contact check.
+FD_STEP = 1e-5
 
 
 class OutOfChart(Exception):
@@ -120,12 +122,6 @@ class Chart:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coords)
 
-    def periodic_mask(self) -> np.ndarray:
-        return np.array([c.is_periodic for c in self.coords])
-
-    def periods(self) -> np.ndarray:
-        return np.array([c.period if c.is_periodic else np.nan for c in self.coords])
-
     def lows(self) -> np.ndarray:
         return np.array([0.0 if c.is_periodic else c.lo for c in self.coords])
 
@@ -137,10 +133,9 @@ class Chart:
     def reduce(self, pts: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [0, period)."""
         out = np.array(pts, dtype=float, copy=True)
-        flat = np.atleast_2d(out)
         for i, c in enumerate(self.coords):
             if c.is_periodic:
-                flat[:, i] = np.mod(flat[:, i], c.period)
+                out[:, i] = np.mod(out[:, i], c.period)
         return out
 
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
@@ -149,15 +144,14 @@ class Chart:
         Periodic coordinates impose no constraint.  Non-finite coordinates
         yield -inf so they register as violations.
         """
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        margins = np.full(p.shape[0], np.inf)
+        margins = np.full(len(pts), np.inf)
         for i, c in enumerate(self.coords):
             if c.is_periodic:
                 continue
-            d = np.minimum(p[:, i] - c.lo, c.hi - p[:, i])
-            d = np.where(np.isfinite(p[:, i]), d, -np.inf)
+            d = np.minimum(pts[:, i] - c.lo, c.hi - pts[:, i])
+            d = np.where(np.isfinite(pts[:, i]), d, -np.inf)
             margins = np.minimum(margins, d)
-        bad = ~np.all(np.isfinite(p), axis=1)
+        bad = ~np.all(np.isfinite(pts), axis=1)
         margins[bad] = -np.inf
         return margins
 
@@ -167,21 +161,18 @@ class Chart:
     def normalized_radius(self, pts: np.ndarray) -> np.ndarray:
         """Sup-norm radius of the interval factors, rescaled so the boundary
         sits at radius 1."""
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.zeros(p.shape[0])
+        r = np.zeros(len(pts))
         for i, c in enumerate(self.coords):
             if c.is_periodic:
                 continue
             mid = 0.5 * (c.lo + c.hi)
             half = 0.5 * (c.hi - c.lo)
-            r = np.maximum(r, np.abs(p[:, i] - mid) / half)
+            r = np.maximum(r, np.abs(pts[:, i] - mid) / half)
         return r
 
     def periodic_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Euclidean distance with wrap-around on circle factors."""
-        pa = np.atleast_2d(np.asarray(a, dtype=float))
-        pb = np.atleast_2d(np.asarray(b, dtype=float))
-        d = np.abs(pa - pb)
+        d = np.abs(a - b)
         for i, c in enumerate(self.coords):
             if c.is_periodic:
                 m = np.mod(d[:, i], c.period)
@@ -214,66 +205,76 @@ class Chart:
     def embed_periodic(self, pts: np.ndarray) -> np.ndarray:
         """Isометric-to-second-order embedding of circle factors into the
         plane, for KD-tree neighbor queries at small radii."""
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
         cols = []
         for i, c in enumerate(self.coords):
             if c.is_periodic:
-                ang = TWO_PI * p[:, i] / c.period
+                ang = TWO_PI * pts[:, i] / c.period
                 scale = c.period / TWO_PI
                 cols.append(scale * np.cos(ang))
                 cols.append(scale * np.sin(ang))
             else:
-                cols.append(p[:, i])
+                cols.append(pts[:, i])
         return np.column_stack(cols)
+
+
+def _pointwise(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
+    """Apply the batched ``fn`` to ``pts``; a single (d,) point runs as a
+    batch of one and its result comes back without the batch axis."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        return fn(pts[None, :])[0]
+    return fn(pts)
 
 
 @dataclass(frozen=True)
 class OneForm:
     """Coefficient evaluator of a 1-form in chart coordinates.
 
-    The evaluator accepts (..., dim)-shaped points and returns coefficients
-    of the same shape.
+    The evaluator receives (N, dim) float points and returns (N, dim)
+    coefficients.  Calling the form also accepts a single (dim,) point.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(pts, dtype=float)), dtype=float)
+        # The reshape keeps (N, dim) for evaluators that squeeze a batch of one.
+        return _pointwise(
+            lambda p: np.asarray(self.evaluator(p), dtype=float).reshape(p.shape), pts
+        )
 
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Smooth map with analytic Jacobian when available, else central FD."""
+    """Smooth map with analytic Jacobian when available, else central FD.
+
+    ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points
+    and return (N, dim) points or (N, dim, dim) Jacobians.  Calling the map
+    or its ``jac`` also accepts a single (dim,) point.
+    """
 
     forward: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-5
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.forward(np.asarray(pts, dtype=float)), dtype=float)
+        return _pointwise(lambda p: np.asarray(self.forward(p), dtype=float), pts)
 
-    def jac(self, pts: np.ndarray, h: float | None = None) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.jacobian is not None and h is None:
-            return np.asarray(self.jacobian(pts), dtype=float)
-        return fd_jacobian(self.forward, pts, h or self.fd_step)
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        if self.jacobian is None:
+            return _pointwise(lambda p: fd_jacobian(self.forward, p, FD_STEP), pts)
+        return _pointwise(lambda p: np.asarray(self.jacobian(p), dtype=float), pts)
 
 
 def fd_jacobian(fn: Callable, pts: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central-difference Jacobian, batched."""
-    p = np.atleast_2d(np.asarray(pts, dtype=float))
-    n, d = p.shape
+    """Second-order central-difference Jacobian of a batched map at (N, d)
+    points."""
+    n, d = pts.shape
     out = np.empty((n, d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        fp = np.atleast_2d(np.asarray(fn(p + e), dtype=float))
-        fm = np.atleast_2d(np.asarray(fn(p - e), dtype=float))
-        out[:, :, j] = (fp - fm) / (2.0 * h)
-    if np.asarray(pts).ndim == 1:
-        return out[0]
+        out[:, :, j] = (fn(pts + e) - fn(pts - e)) / (2.0 * h)
     return out
 
 
@@ -343,26 +344,36 @@ class ContractionCertificate:
 
 # -- pullback and conformal factor -------------------------------------------
 
+def _pullback(
+    map_: SmoothMap, form: OneForm, pts: np.ndarray, codomain: Chart | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian-transpose of the map applied to the form at the image
+    points, for (N, d) points.  Returns the pullback, the raw (unreduced)
+    images and the Jacobians."""
+    with np.errstate(all="ignore"):
+        q = map_(pts)
+        jac = map_.jac(pts)
+        w = form(q if codomain is None else codomain.reduce(q))
+        pb = np.einsum("ni,nij->nj", w, jac)
+    return pb, q, jac
+
+
 def eval_pullback(
     map_: SmoothMap,
     form: OneForm,
     p: np.ndarray,
     codomain: Chart | None = None,
 ) -> np.ndarray:
-    """Pull a 1-form back through a map: Jacobian-transpose applied to the
-    form evaluated at the image point."""
-    pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    batch = np.atleast_2d(pts)
-    q = np.atleast_2d(map_(batch))
-    if codomain is not None:
-        if np.any(~np.isfinite(q)) or np.any(codomain.interior_margins(q) < -1e-12):
+    """Pull a 1-form back through a map at one point or a batch; raises
+    ``OutOfChart`` when an image point leaves ``codomain``."""
+
+    def pull(pts):
+        pb, q, _ = _pullback(map_, form, pts, codomain)
+        if codomain is not None and not codomain.contains(q).all():
             raise OutOfChart("image point leaves the chart box")
-        q = codomain.reduce(q)
-    w = np.atleast_2d(form(q))
-    jac = map_.jac(batch)
-    out = np.einsum("ni,nij->nj", w, jac)
-    return out[0] if single else out
+        return pb
+
+    return _pointwise(pull, p)
 
 
 def model_pullback(model: ContactModel, pts: np.ndarray) -> np.ndarray:
@@ -372,12 +383,16 @@ def model_pullback(model: ContactModel, pts: np.ndarray) -> np.ndarray:
 
 
 def _proportionality(pb: np.ndarray, base: np.ndarray):
+    """Least-squares factor f with pb ~ f * base, the residual, the norm of
+    base, and the larger of the two norms (floored) as residual scale."""
     denom = np.einsum("ni,ni->n", base, base)
     num = np.einsum("ni,ni->n", pb, base)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = num / denom
         resid = np.linalg.norm(pb - f[:, None] * base, axis=1)
-    return f, resid, np.sqrt(denom), np.linalg.norm(pb, axis=1)
+    nbase = np.sqrt(denom)
+    scale = np.maximum(np.maximum(np.linalg.norm(pb, axis=1), nbase), 1e-300)
+    return f, resid, nbase, scale
 
 
 def conformal_factor(
@@ -387,94 +402,69 @@ def conformal_factor(
     tol: float = 1e-8,
     target_form: OneForm | None = None,
     codomain: Chart | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Least-squares scalar f with pullback = f * form(p), certified by a
-    residual below tol times the participating norms."""
-    pt = np.asarray(p, dtype=float)
-    base = np.atleast_2d(form(pt))
-    pb = np.atleast_2d(eval_pullback(map_, target_form or form, pt, codomain))
-    f, resid, nbase, npb = _proportionality(pb, base)
-    if nbase[0] <= tol:
-        raise DegenerateForm("reference form vanishes at the point")
-    if resid[0] > tol * max(npb[0], nbase[0]):
-        raise NotConformal(
-            f"pullback deviates from proportionality by {resid[0]:.3e}"
-        )
-    return float(f[0])
+    residual below tol times the participating norms.  A single point gives
+    a float, a batch an (N,) array; any failing point raises."""
+
+    def factor(pts):
+        pb = eval_pullback(map_, target_form or form, pts, codomain)
+        f, resid, nbase, scale = _proportionality(pb, form(pts))
+        if np.any(nbase <= tol):
+            raise DegenerateForm("reference form vanishes at the point")
+        bad = resid > tol * scale
+        if bad.any():
+            raise NotConformal(
+                f"pullback deviates from proportionality by {resid[bad][0]:.3e}"
+            )
+        return f
+
+    return _pointwise(factor, p)
 
 
-def model_conformal_factors(model: ContactModel, pts: np.ndarray, tol: float = 1e-8):
+def model_conformal_factors(model: ContactModel, pts: np.ndarray):
     """Vectorized conformal factors with residual diagnostics (no raising)."""
-    base = np.atleast_2d(model.alpha(pts))
     if model.phi is None:
         raise ModelError("model has no map")
-    batch = np.atleast_2d(np.asarray(pts, dtype=float))
-    with np.errstate(all="ignore"):
-        q = np.atleast_2d(model.phi(batch))
-        w = np.atleast_2d(model.codomain_alpha(model.codomain.reduce(q)))
-        jac = model.phi.jac(batch)
-        pb = np.einsum("ni,nij->nj", w, jac)
-    f, resid, nbase, npb = _proportionality(pb, base)
-    scale = np.maximum(np.maximum(npb, nbase), 1e-300)
+    pb, q, _ = _pullback(model.phi, model.codomain_alpha, pts, model.codomain)
+    f, resid, _, scale = _proportionality(pb, model.alpha(pts))
     return f, resid, scale, q
 
 
 # -- contact condition --------------------------------------------------------
 
-def _merge_indices(left: tuple, right: tuple):
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        elif left[i] > right[j]:
-            if (len(left) - i) % 2 == 1:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-        else:
-            return None, 0
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
+def _pfaffian(m: np.ndarray) -> np.ndarray:
+    """Pfaffians of a batch of antisymmetric (N, 2k, 2k) matrices by
+    expansion along the first row.  There is no division, so an exactly
+    degenerate matrix gives exactly zero."""
+    size = m.shape[-1]
+    if size == 0:
+        return np.ones(len(m))
+    total = np.zeros(len(m))
+    for j in range(1, size):
+        rest = [k for k in range(1, size) if k != j]
+        total += (-1) ** (j + 1) * m[:, 0, j] * _pfaffian(m[:, rest][:, :, rest])
+    return total
 
 
-def _wedge(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for idx_a, va in a.items():
-        for idx_b, vb in b.items():
-            merged, sign = _merge_indices(idx_a, idx_b)
-            if merged is None:
-                continue
-            out[merged] = out.get(merged, 0.0) + sign * va * vb
-    return out
+def contact_check(form: OneForm, p: np.ndarray) -> float | np.ndarray:
+    """Top-form coefficient of alpha wedge (d alpha)^m, dim = 2m + 1, at one
+    point (a float) or a batch (an (N,) array).
 
+    d alpha comes from central finite differences; the coefficient is
+    m! Pf([[0, alpha], [-alpha^T, d alpha]]).
+    """
 
-def contact_check(form: OneForm, p: np.ndarray, h: float = 1e-5) -> float:
-    """Top-form coefficient of alpha wedge (d alpha)^((dim-1)/2) at a point,
-    with the exterior derivative taken by central finite differences."""
-    pt = np.asarray(p, dtype=float)
-    d = pt.size
-    m = (d - 1) // 2
-    grad = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        grad[i] = (form(pt + e) - form(pt - e)) / (2.0 * h)
-    two: dict = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = grad[i][j] - grad[j][i]
-            if c != 0.0:
-                two[(i, j)] = c
-    power = two
-    for _ in range(m - 1):
-        power = _wedge(power, two)
-    one = {(i,): float(v) for i, v in enumerate(form(pt)) if v != 0.0}
-    top = _wedge(one, power)
-    return float(top.get(tuple(range(d)), 0.0))
+    def top(pts):
+        jac = fd_jacobian(form, pts, FD_STEP)
+        n, d = pts.shape
+        bordered = np.zeros((n, d + 1, d + 1))
+        bordered[:, 0, 1:] = form(pts)
+        bordered[:, 1:, 0] = -bordered[:, 0, 1:]
+        bordered[:, 1:, 1:] = np.swapaxes(jac, 1, 2) - jac
+        return math.factorial((d - 1) // 2) * _pfaffian(bordered)
+
+    return _pointwise(top, p)
 
 
 # -- contraction certification ------------------------------------------------
@@ -494,8 +484,7 @@ def certify_contraction(
     pts = np.vstack([chart.sample(samples, rng_seed), chart.probe_points()])
     notes: list[str] = []
 
-    with np.errstate(all="ignore"):
-        q = np.atleast_2d(model.phi(pts))
+    pb, q, jac = _pullback(model.phi, model.codomain_alpha, pts, codomain)
     finite_img = np.all(np.isfinite(q), axis=1)
     if not finite_img.all():
         notes.append(f"{int((~finite_img).sum())} samples mapped to non-finite points")
@@ -509,7 +498,6 @@ def certify_contraction(
     }
 
     with np.errstate(all="ignore"):
-        jac = model.phi.jac(pts)
         dets = np.linalg.det(jac)
     finite_det = np.isfinite(dets)
     det_min = float(np.min(np.abs(dets[finite_det]))) if finite_det.any() else 0.0
@@ -530,7 +518,7 @@ def certify_contraction(
         "pass": bool(finite_det.all() and det_min >= tol and collisions == 0),
     }
 
-    f, resid, scale, _ = model_conformal_factors(model, pts, tol)
+    f, resid, _, scale = _proportionality(pb, model.alpha(pts))
     ok = np.isfinite(f) & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
     valid = np.isfinite(f) & (f > 0.0)
     g = -np.log(f[valid]) if valid.any() else np.array([])
@@ -567,31 +555,25 @@ def _jet_space_model(params: dict) -> ContactModel:
         )
     )
 
-    def alpha(pts):
-        p = np.atleast_2d(pts)
+    def alpha(p):
         out = np.zeros_like(p)
         out[:, 0] = 1.0
         out[:, 1] = -p[:, 2]
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def forward(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.column_stack([p[:, 0] / 2.0, p[:, 1], p[:, 2] / 2.0])
-        return out if np.asarray(pts).ndim > 1 else out[0]
+    def forward(p):
+        return np.column_stack([p[:, 0] / 2.0, p[:, 1], p[:, 2] / 2.0])
 
     jac_const = np.diag([0.5, 1.0, 0.5])
 
-    def jacobian(pts):
-        p = np.atleast_2d(pts)
-        out = np.broadcast_to(jac_const, (p.shape[0], 3, 3)).copy()
-        return out if np.asarray(pts).ndim > 1 else out[0]
+    def jacobian(p):
+        return np.broadcast_to(jac_const, (len(p), 3, 3)).copy()
 
-    def inverse(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def inverse(p):
         out = np.column_stack([2.0 * p[:, 0], p[:, 1], 2.0 * p[:, 2]])
         if np.any(np.abs(out[:, [0, 2]]) > 1.0 + 1e-9):
             raise OutOfChart("preimage leaves the chart")
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
     return ContactModel(
         name="jet_space",
@@ -611,27 +593,23 @@ def _solenoid_model(params: dict) -> ContactModel:
         )
     )
 
-    def alpha(pts):
-        p = np.atleast_2d(pts)
+    def alpha(p):
         out = np.zeros_like(p)
         out[:, 0] = p[:, 2]
         out[:, 1] = 1.0
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def forward(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def forward(p):
         th = p[:, 0]
-        out = np.column_stack(
+        return np.column_stack(
             [
                 2.0 * th,
                 p[:, 1] / 10.0 + np.cos(th) / 2.0,
                 p[:, 2] / 20.0 + np.sin(th) / 4.0,
             ]
         )
-        return out if np.asarray(pts).ndim > 1 else out[0]
 
-    def jacobian(pts):
-        p = np.atleast_2d(pts)
+    def jacobian(p):
         th = p[:, 0]
         n = p.shape[0]
         out = np.zeros((n, 3, 3))
@@ -640,10 +618,9 @@ def _solenoid_model(params: dict) -> ContactModel:
         out[:, 1, 1] = 0.1
         out[:, 2, 0] = np.cos(th) / 4.0
         out[:, 2, 2] = 0.05
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def inverse(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def inverse(p):
         th2 = np.mod(p[:, 0], TWO_PI)
         out = np.empty_like(p)
         found = np.zeros(p.shape[0], dtype=bool)
@@ -658,7 +635,7 @@ def _solenoid_model(params: dict) -> ContactModel:
             found |= ok
         if not found.all():
             raise OutOfChart("point is outside the image tube")
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
     return ContactModel(
         name="solenoid",
@@ -690,34 +667,29 @@ def _transverse_knot_model(params: dict) -> ContactModel:
         )
     )
 
-    def alpha(pts):
-        p = np.atleast_2d(pts)
+    def alpha(p):
         out = np.zeros_like(p)
         out[:, 0] = 1.0
         out[:, 1] = -p[:, 2]
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def alpha_bar(pts):
-        p = np.atleast_2d(pts)
+    def alpha_bar(p):
         out = np.zeros_like(p)
         out[:, 0] = p[:, 2]
         out[:, 1] = 1.0
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def forward(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def forward(p):
         with np.errstate(all="ignore"):
-            out = np.column_stack(
+            return np.column_stack(
                 [
                     p[:, 0] - c * p[:, 1] / delta,
                     c * p[:, 1],
                     c * delta / (c - delta * p[:, 2]),
                 ]
             )
-        return out if np.asarray(pts).ndim > 1 else out[0]
 
-    def jacobian(pts):
-        p = np.atleast_2d(pts)
+    def jacobian(p):
         n = p.shape[0]
         out = np.zeros((n, 3, 3))
         out[:, 0, 0] = 1.0
@@ -725,13 +697,10 @@ def _transverse_knot_model(params: dict) -> ContactModel:
         out[:, 1, 1] = c
         with np.errstate(all="ignore"):
             out[:, 2, 2] = c * delta**2 / (c - delta * p[:, 2]) ** 2
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def g_ext(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        ybar = np.clip(p[:, 2], 1e-12, 1.0 - 1e-12)
-        out = -np.log(ybar)
-        return out if np.asarray(pts).ndim > 1 else float(out[0])
+    def g_ext(p):
+        return -np.log(np.clip(p[:, 2], 1e-12, 1.0 - 1e-12))
 
     return ContactModel(
         name="transverse_knot",
@@ -835,38 +804,33 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
     chart = Chart(coords)
     d = 2 * n - 1
 
-    def alpha(pts):
-        p = np.atleast_2d(pts)
+    def alpha(p):
         out = np.zeros_like(p)
         out[:, n - 1 :] = B[n - 1][None, :] + p[:, : n - 1] @ B[: n - 1]
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
-    def forward(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def forward(p):
         out = np.empty_like(p)
         out[:, : n - 1] = p[:, : n - 1] * rates[None, :]
         out[:, n - 1 :] = p[:, n - 1 :] @ a_float.T
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
     jac_const = np.zeros((d, d))
     jac_const[: n - 1, : n - 1] = np.diag(rates)
     jac_const[n - 1 :, n - 1 :] = a_float
 
-    def jacobian(pts):
-        p = np.atleast_2d(pts)
-        out = np.broadcast_to(jac_const, (p.shape[0], d, d)).copy()
-        return out if np.asarray(pts).ndim > 1 else out[0]
+    def jacobian(p):
+        return np.broadcast_to(jac_const, (len(p), d, d)).copy()
 
     a_inv = np.array(_int_inverse_unimodular(A).to_lists(), dtype=float)
 
-    def inverse(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
+    def inverse(p):
         out = np.empty_like(p)
         out[:, : n - 1] = p[:, : n - 1] / rates[None, :]
         out[:, n - 1 :] = p[:, n - 1 :] @ a_inv.T
         if np.any(np.abs(out[:, : n - 1]) > 1.0 + 1e-9):
             raise OutOfChart("preimage leaves the disk factor")
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return out
 
     return ContactModel(
         name="anosov",

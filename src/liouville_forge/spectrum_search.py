@@ -11,7 +11,7 @@ Sturm-certified root isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -182,16 +182,10 @@ def elementary_symmetric(lams: Sequence[float]) -> SigmaVector:
 def x_vector(sigma: SigmaVector) -> tuple[float, ...]:
     """Constant part of the eliminated integer system, one entry per j = 2..n-1.
 
-    x_j = sigma_j - sigma_1 sigma_{j-1} + sigma_{j-2} / sigma_m.
+    x_j = sigma_j - sigma_1 sigma_{j-1} + sigma_{j-2} / sigma_m, the
+    residual of the system at k1 = 0 and k' = 0.
     """
-    if sigma.last == 0:
-        raise DegenerateSigma("sigma_{n-2} vanishes")
-    s1 = sigma.value(1)
-    sm = sigma.last
-    return tuple(
-        sigma.value(j) - s1 * sigma.value(j - 1) + sigma.value(j - 2) / sm
-        for j in range(2, sigma.m + 2)
-    )
+    return residual_dynamics(sigma, 0, (0.0,) * sigma.m)
 
 
 def residual_dynamics(
@@ -498,19 +492,7 @@ def certify_matrix(
     cert = _certificate_from_matrix(A, k_sys, mu_eff, eps)
     if cert is None:
         raise ValueError("matrix spectrum is not real and simple (or fails conditions)")
-    if not mu:
-        cert = SpectrumCertificate(
-            matrix=cert.matrix,
-            k=cert.k,
-            n=cert.n,
-            eps=eps,
-            mu=(),
-            roots=cert.roots,
-            root_intervals=cert.root_intervals,
-            conditions=cert.conditions,
-            residuals=cert.residuals,
-        )
-    return cert
+    return cert if mu else replace(cert, mu=())
 
 
 def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
@@ -550,20 +532,9 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
                 A = companion_matrix(tuple(reversed(k_sys)))
                 cert = _certificate_from_matrix(A, k_sys, request.mu, request.eps)
                 if cert is not None:
-                    resid_map = dict(cert.residuals)
-                    resid_map["dynamics_max"] = max(
-                        (abs(v) for v in resid), default=0.0
-                    )
-                    return SpectrumCertificate(
-                        matrix=cert.matrix,
-                        k=cert.k,
-                        n=cert.n,
-                        eps=cert.eps,
-                        mu=cert.mu,
-                        roots=cert.roots,
-                        root_intervals=cert.root_intervals,
-                        conditions=cert.conditions,
-                        residuals=resid_map,
+                    dynamics_max = max((abs(v) for v in resid), default=0.0)
+                    return replace(
+                        cert, residuals={**cert.residuals, "dynamics_max": dynamics_max}
                     )
             except (ComplexTail, SingularJacobian, NoConvergence, DegenerateSigma):
                 pass

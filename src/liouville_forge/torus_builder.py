@@ -39,6 +39,7 @@ __all__ = [
     "LeftDomain",
     "EmptySection",
     "DegenerateCloud",
+    "constant_roof",
     "extend_G",
     "build_mapping_torus",
     "descent_residuals",
@@ -53,7 +54,6 @@ __all__ = [
     "suggested_section_gap",
     "box_counting_dimension",
     "skeleton_analysis",
-    "skeleton_dimension",
     "export_cloud_csv",
 ]
 
@@ -97,7 +97,7 @@ class GExtension:
     meta: dict = field(default_factory=dict)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluate(np.atleast_2d(np.asarray(pts, float))), float)
+        return np.asarray(self.evaluate(pts), float)
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,7 @@ class SkeletonAnalysis:
     section_clusters: int | None
     depth: int
     seeds: int
+    sample: SkeletonSample  # the cloud that was box-counted; not reported
 
     def to_dict(self) -> dict:
         return {
@@ -166,6 +167,11 @@ class SkeletonAnalysis:
 
 
 # -- roof extension -----------------------------------------------------------
+
+def constant_roof(g0: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Roof evaluator with the value ``g0`` at every point."""
+    return lambda pts: np.full(len(pts), g0)
+
 
 def _sampled_g(base: ContactModel, samples: int, rng_seed: int):
     pts = np.vstack(
@@ -207,11 +213,7 @@ def extend_G(
         if spread > 1e-9:
             raise NonConstantG(f"sampled exponent varies by {spread:.3e}")
         g0 = float(np.median(g))
-
-        def evaluate_const(pts: np.ndarray) -> np.ndarray:
-            return np.full(np.atleast_2d(pts).shape[0], g0)
-
-        return GExtension(evaluate_const, "constant", g0, {"spread": spread})
+        return GExtension(constant_roof(g0), "constant", g0, {"spread": spread})
 
     codomain = base.codomain
     if mode == "model":
@@ -220,7 +222,7 @@ def extend_G(
         ext = base.g_extension
 
         def evaluate_model(pts: np.ndarray) -> np.ndarray:
-            return np.asarray(ext(codomain.reduce(np.atleast_2d(pts))), float)
+            return np.asarray(ext(codomain.reduce(pts)), float)
 
         check = evaluate_model(codomain.reduce(img_pts))
         resid = float(np.max(np.abs(check - g)))
@@ -244,7 +246,7 @@ def extend_G(
     g_floor = float(np.min(g)) / 2.0
 
     def evaluate_blend(pts: np.ndarray) -> np.ndarray:
-        e = codomain.embed_periodic(codomain.reduce(np.atleast_2d(pts)))
+        e = codomain.embed_periodic(codomain.reduce(pts))
         val = rbf(e)
         dist, _ = tree.query(e)
         t = np.maximum(dist - dead, 0.0) / max(tilt_eps, 1e-9)
@@ -295,11 +297,10 @@ def descent_residuals(
     d = x.shape[1]
     codomain = base.codomain
 
-    q_raw = np.atleast_2d(base.phi(x))
-    q = codomain.reduce(q_raw)
+    q = codomain.reduce(base.phi(x))
     g_img = model.G(q)
-    a_here = np.atleast_2d(base.alpha(x))
-    a_img = np.atleast_2d(base.codomain_alpha(q))
+    a_here = base.alpha(x)
+    a_img = base.codomain_alpha(q)
     jac = base.phi.jac(x)
 
     if model.G.constant is not None:
@@ -310,8 +311,8 @@ def descent_residuals(
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            gp = model.G(codomain.reduce(np.atleast_2d(base.phi(x + e))))
-            gm = model.G(codomain.reduce(np.atleast_2d(base.phi(x - e))))
+            gp = model.G(codomain.reduce(base.phi(x + e)))
+            gm = model.G(codomain.reduce(base.phi(x - e)))
             grad_g[:, j] = (gp - gm) / (2.0 * h)
 
     n = x.shape[0]
@@ -343,9 +344,7 @@ def descent_check(
     if model.G.constant is not None:
         s_ref = model.G.constant
     else:
-        s_ref = float(
-            np.mean(model.G(model.base.codomain.reduce(np.atleast_2d(model.base.phi(x)))))
-        )
+        s_ref = float(np.mean(model.G(model.base.codomain.reduce(model.base.phi(x)))))
     s = u[:, chart.dim] * s_ref
     residual = float(np.max(descent_residuals(model, s, x)))
     if residual >= tol:
@@ -374,14 +373,14 @@ def normalize_fundamental(
         if 0.0 <= s < g_here:
             return FundamentalDomainPoint(s, pt)
         if s < 0.0:
-            nxt = base.chart.reduce(np.atleast_2d(base.phi(pt[None, :])))[0]
+            nxt = base.chart.reduce(base.phi(pt[None, :]))[0]
             s += float(model.G(nxt[None, :])[0])
             pt = nxt
         else:
             if base.phi.inverse is None:
                 raise LeftDomain("no inverse available for upward reduction")
             try:
-                prev = np.atleast_2d(base.phi.inverse(pt[None, :]))[0]
+                prev = base.phi.inverse(pt[None, :])[0]
             except OutOfChart as exc:
                 raise LeftDomain(str(exc)) from exc
             s -= g_here
@@ -442,11 +441,11 @@ def _require_self_map(model: ContactModel) -> None:
 
 def _apply_map(model: ContactModel, pts: np.ndarray, threads: int) -> np.ndarray:
     if threads <= 1 or len(pts) < 65_536:
-        return model.chart.reduce(np.atleast_2d(model.phi(pts)))
+        return model.chart.reduce(model.phi(pts))
     chunks = np.array_split(pts, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outs = list(
-            pool.map(lambda c: model.chart.reduce(np.atleast_2d(model.phi(c))), chunks)
+            pool.map(lambda c: model.chart.reduce(model.phi(c)), chunks)
         )
     return np.vstack(outs)
 
@@ -680,6 +679,7 @@ def skeleton_analysis(
             section_clusters=clusters,
             depth=depth,
             seeds=seeds,
+            sample=sample,
         )
 
     sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed, threads=threads)
@@ -692,21 +692,8 @@ def skeleton_analysis(
         section_clusters=None,
         depth=depth,
         seeds=seeds,
+        sample=sample,
     )
-
-
-def skeleton_dimension(
-    model: ContactModel,
-    depth: int,
-    seeds: int,
-    scales: Sequence[float] | None = None,
-    rng_seed: int = 0,
-    theta0: float = 0.0,
-    threads: int = 1,
-) -> float:
-    return skeleton_analysis(
-        model, depth, seeds, scales=scales, rng_seed=rng_seed, theta0=theta0, threads=threads
-    ).estimate
 
 
 def export_cloud_csv(

@@ -74,6 +74,14 @@ class TestCertify:
     def test_anosov_wrong_mu_count(self):
         assert run(["certify", "--model", "anosov", "--n", "3"]) == 2
 
+    def test_anosov_eigen_failure_usage_error(self, capsys):
+        # mu = -1 gives a certified matrix whose smallest eigenvalue is
+        # negative, which anosov_model rejects with EigenFailure.
+        code = run(["certify", "--model", "anosov", "--n", "3", "--mu", "-1.0",
+                    "--eps", "0.5", "--samples", "100"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSkeleton:
     def test_solenoid_section_clusters(self, tmp_path):
@@ -100,6 +108,14 @@ class TestSkeleton:
 
     def test_transverse_knot_rejected(self):
         assert run(["skeleton", "--model", "transverse-knot", "--depth", "2"]) == 2
+
+    def test_section_on_cloud_route_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["skeleton", "--model", "anosov", "--n", "2", "--depth", "2",
+                    "--seeds", "1000", "--section", "0.0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_csv_cloud_export(self, tmp_path):
         csv = tmp_path / "cloud.csv"

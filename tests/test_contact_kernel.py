@@ -47,6 +47,46 @@ def cat_model():
     return anosov_model(cert.matrix, cert)
 
 
+@pytest.fixture(scope="module")
+def anosov3():
+    cert = find_matrix(SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7))
+    return anosov_model(cert.matrix, cert)
+
+
+@pytest.fixture(scope="module")
+def anosov4():
+    cert = find_matrix(SpectrumRequest(n=4, mu=(0.98, 0.90), eps=0.4, seed=8577))
+    return anosov_model(cert.matrix, cert)
+
+
+@pytest.mark.parametrize(
+    "name", ["solenoid", "jet", "knot", "cat_model", "anosov3", "anosov4"]
+)
+def test_batch_matches_stacked_single_points(name, request):
+    model = request.getfixturevalue(name)
+    pts = model.chart.sample(64, rng_seed=11)
+    target, codomain = model.codomain_alpha, model.codomain
+    # Matrix products may round differently for one row than for many; the
+    # finite-difference d(alpha) in contact_check scales that by 1/FD_STEP.
+    calls = [
+        (model.alpha, 1e-12),
+        (model.phi, 1e-12),
+        (model.phi.jac, 1e-12),
+        (lambda p: eval_pullback(model.phi, target, p, codomain), 1e-12),
+        (lambda p: conformal_factor(
+            model.phi, model.alpha, p, target_form=target, codomain=codomain
+        ), 1e-12),
+        (lambda p: contact_check(model.alpha, p), 1e-9),
+    ]
+    for fn, atol in calls:
+        batched = fn(pts)
+        stacked = np.stack([fn(p) for p in pts])
+        assert batched.shape == stacked.shape
+        np.testing.assert_allclose(batched, stacked, rtol=0, atol=atol)
+    # The form is contact in every dimension, up to d = 7 for anosov n = 4.
+    assert np.all(np.abs(contact_check(model.alpha, pts)) > 1e-3)
+
+
 class TestEvalPullback:
     def test_identity_map(self, solenoid):
         ident = SmoothMap(lambda p: p, lambda p: np.broadcast_to(
