@@ -29,6 +29,7 @@ from .contact_kernel import (
 from .spectrum_search import SearchExhausted, SpectrumRequest, find_matrix
 from .torus_builder import (
     DescentViolation,
+    EmptySection,
     GExtension,
     MappingTorusModel,
     NonConstantG,
@@ -46,6 +47,8 @@ from .torus_builder import (
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
+# Inputs the library rejects; each ends the command with exit code 2.
+_USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, NonConstantG, EmptySection)
 
 
 class _Float17(float):
@@ -116,50 +119,30 @@ def _spectrum_request(args: argparse.Namespace) -> SpectrumRequest:
     )
 
 
-def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict] | int:
-    """The requested model and the report entries its construction adds, or
-    the exit code once the reason it could not be built has been reported."""
+def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict]:
+    """The requested model and the report entries its construction adds."""
     name = args.model.replace("-", "_")
-    try:
-        if name == "anosov":
-            cert = find_matrix(_spectrum_request(args))
-            return anosov_model(cert.matrix, cert), {
-                "spectrum_certificate": cert.to_dict()
-            }
-        params = {}
-        if name == "transverse_knot":
-            params = {"c": args.c, "delta": args.delta, "eps": args.knot_eps}
-        return builtin_model(name, params), {}
-    except (ValueError, UnknownModel, ModelError, EigenFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchExhausted as exc:
-        _write_report(args, args.command, "not-found", {"error": str(exc)})
-        return 3
+    if name == "anosov":
+        cert = find_matrix(_spectrum_request(args))
+        return anosov_model(cert.matrix, cert), {
+            "spectrum_certificate": cert.to_dict()
+        }
+    params = {}
+    if name == "transverse_knot":
+        params = {"c": args.c, "delta": args.delta, "eps": args.knot_eps}
+    return builtin_model(name, params), {}
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_find_matrix(args: argparse.Namespace) -> int:
-    try:
-        request = _spectrum_request(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cert = find_matrix(request)
-    except SearchExhausted as exc:
-        _write_report(args, "find-matrix", "not-found", {"error": str(exc)})
-        return 3
+    cert = find_matrix(_spectrum_request(args))
     _write_report(args, "find-matrix", "pass", {"certificate": cert.to_dict()})
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    built = _build_model(args)
-    if isinstance(built, int):
-        return built
-    model, extra = built
+    model, extra = _build_model(args)
     cert = certify_contraction(
         model, samples=args.samples, tol=args.tol, rng_seed=args.seed
     )
@@ -170,27 +153,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_skeleton(args: argparse.Namespace) -> int:
-    built = _build_model(args)
-    if isinstance(built, int):
-        return built
-    model, extra = built
+    model, extra = _build_model(args)
     threads = resolve_threads(args.threads)
     theta0 = args.section if args.section is not None else 0.0
-    try:
-        analysis = skeleton_analysis(
-            model,
-            args.depth,
-            args.seeds,
-            scales=args.scales,
-            rng_seed=args.seed,
-            theta0=theta0,
-            threads=threads,
-        )
-        if args.section is not None:
-            pts2 = cross_section(analysis.sample, args.section, args.thickness)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    analysis = skeleton_analysis(
+        model,
+        args.depth,
+        args.seeds,
+        scales=args.scales,
+        rng_seed=args.seed,
+        theta0=theta0,
+        threads=threads,
+    )
+    if args.section is not None:
+        pts2 = cross_section(analysis.sample, args.section, args.thickness)
     results = {"skeleton": analysis.to_dict(), **extra}
 
     csv_points = None
@@ -204,7 +180,7 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             )
         results["section"] = section_info
         csv_points = pts2
-        csv_names = [model.chart.names[i] for i in analysis.sample.meta["interval_idx"]]
+        csv_names = [model.chart.names[i] for i in model.chart.interval_idx]
     elif args.csv_out:
         sample = analysis.sample
         if analysis.route != "cloud":
@@ -223,23 +199,16 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
 
 
 def cmd_descent(args: argparse.Namespace) -> int:
-    built = _build_model(args)
-    if isinstance(built, int):
-        return built
-    model, extra = built
-    try:
-        if args.force_G is not None:
-            g0 = float(args.force_G)
-            torus = MappingTorusModel(
-                base=model, G=GExtension(constant_roof(g0), "forced", g0), tilt_eps=args.tilt_eps
-            )
-        else:
-            torus = build_mapping_torus(
-                model, mode=args.g_mode, tilt_eps=args.tilt_eps, rng_seed=args.seed
-            )
-    except (NonConstantG, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model, extra = _build_model(args)
+    if args.force_G is not None:
+        g0 = float(args.force_G)
+        torus = MappingTorusModel(
+            base=model, G=GExtension(constant_roof(g0), "forced", g0), tilt_eps=args.tilt_eps
+        )
+    else:
+        torus = build_mapping_torus(
+            model, mode=args.g_mode, tilt_eps=args.tilt_eps, rng_seed=args.seed
+        )
     margin = boundary_transversality_check(torus, rng_seed=args.seed)
     try:
         residual = descent_check(torus, samples=args.samples, tol=args.tol, rng_seed=args.seed)
@@ -350,7 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     needs_mu = args.command == "find-matrix" or getattr(args, "model", "") == "anosov"
     if needs_mu and len(args.mu) != args.n - 2:
         parser.error(f"--mu must supply exactly {args.n - 2} values for --n {args.n}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SearchExhausted as exc:
+        _write_report(args, args.command, "not-found", {"error": str(exc)})
+        return 3
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,6 +123,16 @@ class Chart:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coords)
 
+    @cached_property
+    def periodic_idx(self) -> tuple[int, ...]:
+        """Positions of the circle factors."""
+        return tuple(i for i, c in enumerate(self.coords) if c.is_periodic)
+
+    @cached_property
+    def interval_idx(self) -> tuple[int, ...]:
+        """Positions of the interval factors."""
+        return tuple(i for i in range(self.dim) if i not in self.periodic_idx)
+
     def lows(self) -> np.ndarray:
         return np.array([0.0 if c.is_periodic else c.lo for c in self.coords])
 
@@ -133,9 +144,8 @@ class Chart:
     def reduce(self, pts: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [0, period)."""
         out = np.array(pts, dtype=float, copy=True)
-        for i, c in enumerate(self.coords):
-            if c.is_periodic:
-                out[:, i] = np.mod(out[:, i], c.period)
+        for i in self.periodic_idx:
+            out[:, i] = np.mod(out[:, i], self.coords[i].period)
         return out
 
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
@@ -145,9 +155,8 @@ class Chart:
         yield -inf so they register as violations.
         """
         margins = np.full(len(pts), np.inf)
-        for i, c in enumerate(self.coords):
-            if c.is_periodic:
-                continue
+        for i in self.interval_idx:
+            c = self.coords[i]
             d = np.minimum(pts[:, i] - c.lo, c.hi - pts[:, i])
             d = np.where(np.isfinite(pts[:, i]), d, -np.inf)
             margins = np.minimum(margins, d)
@@ -162,9 +171,8 @@ class Chart:
         """Sup-norm radius of the interval factors, rescaled so the boundary
         sits at radius 1."""
         r = np.zeros(len(pts))
-        for i, c in enumerate(self.coords):
-            if c.is_periodic:
-                continue
+        for i in self.interval_idx:
+            c = self.coords[i]
             mid = 0.5 * (c.lo + c.hi)
             half = 0.5 * (c.hi - c.lo)
             r = np.maximum(r, np.abs(pts[:, i] - mid) / half)
@@ -173,10 +181,10 @@ class Chart:
     def periodic_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Euclidean distance with wrap-around on circle factors."""
         d = np.abs(a - b)
-        for i, c in enumerate(self.coords):
-            if c.is_periodic:
-                m = np.mod(d[:, i], c.period)
-                d[:, i] = np.minimum(m, c.period - m)
+        for i in self.periodic_idx:
+            period = self.coords[i].period
+            m = np.mod(d[:, i], period)
+            d[:, i] = np.minimum(m, period - m)
         return np.linalg.norm(d, axis=1)
 
     def sample(self, n: int, rng_seed: int = 0) -> np.ndarray:

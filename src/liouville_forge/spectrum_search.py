@@ -252,36 +252,19 @@ def ergodic_scan(
     raise NotFound(f"no lattice hit within eps={eps} for k1 <= {k1_max}")
 
 
-def _sym_values(lams: np.ndarray) -> np.ndarray:
-    e = np.zeros(lams.size + 1)
-    e[0] = 1.0
-    for x in lams:
-        e[1:] = e[1:] + x * e[:-1]
-    return e  # e[j] = sigma_j, with e[0] = 1
-
-
 def _dynamics_jacobian(lam: np.ndarray, sigma: SigmaVector, k1: int) -> np.ndarray:
     m = lam.size
     s1 = sigma.value(1)
     sm = sigma.last
 
-    # E[i, t] = sigma_t of the tuple with lam[i] omitted (t = 0..m-1).
-    E = np.zeros((m, m))
-    for i in range(m):
-        omitted = np.delete(lam, i)
-        E[i, : omitted.size + 1] = _sym_values(omitted)
-
-    def ev(i: int, t: int) -> float:
-        if t < 0 or t >= m:
-            return 1.0 if t == 0 else 0.0
-        return E[i, t]
-
+    # omitted[i] holds the symmetric values of the tuple with lam[i] left out.
+    omitted = [elementary_symmetric(np.delete(lam, i)) for i in range(m)]
     jac = np.zeros((m, m))
     for row, j in enumerate(range(2, m + 2)):
-        for i in range(m):
-            d = ev(i, j - 1)
-            d += (k1 - s1) * ev(i, j - 2) - sigma.value(j - 1)
-            d += (ev(i, j - 3) * sm - sigma.value(j - 2) * ev(i, m - 1)) / (sm * sm)
+        for i, ev in enumerate(omitted):
+            d = ev.value(j - 1)
+            d += (k1 - s1) * ev.value(j - 2) - sigma.value(j - 1)
+            d += (ev.value(j - 3) * sm - sigma.value(j - 2) * ev.last) / (sm * sm)
             jac[row, i] = d
     return jac
 
@@ -503,12 +486,8 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
     """
     scan_eps = min(request.eps / 8.0, 0.05)
     for attempt in range(4):
-        seeded = SpectrumRequest(
-            n=request.n,
-            mu=request.mu,
-            eps=request.eps,
-            k1_max=request.k1_max * (2**attempt),
-            seed=request.seed + attempt,
+        seeded = replace(
+            request, k1_max=request.k1_max * (2**attempt), seed=request.seed + attempt
         )
         seed = seed_lambdas(seeded)
         sigma0 = elementary_symmetric(seed.lams)

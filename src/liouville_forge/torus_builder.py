@@ -21,6 +21,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .contact_kernel import (
+    Chart,
     ContactModel,
     ModelError,
     OutOfChart,
@@ -126,7 +127,7 @@ class SkeletonSample:
 
     points: np.ndarray
     depth: int
-    meta: dict = field(default_factory=dict)
+    chart: Chart
 
 
 @dataclass(frozen=True)
@@ -173,16 +174,14 @@ def constant_roof(g0: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda pts: np.full(len(pts), g0)
 
 
-def _sampled_g(base: ContactModel, samples: int, rng_seed: int):
-    pts = np.vstack(
-        [base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)]
-    )
+def _sampled_g(base: ContactModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image points and exponents -log f at the samples with a valid
+    conformal factor f."""
     f, resid, scale, q = model_conformal_factors(base, pts)
     valid = np.isfinite(f) & (f > 0.0) & (f < 1.0) & (resid <= 1e-6 * scale)
     if not valid.any():
         raise ModelError("no valid conformal factors; is the model a contraction?")
-    g = -np.log(f[valid])
-    return pts[valid], q[valid], g
+    return q[valid], -np.log(f[valid])
 
 
 def extend_G(
@@ -199,7 +198,9 @@ def extend_G(
     the mean value outside, clamped to half the minimum; ``model`` uses an
     exact extension supplied by the model itself.
     """
-    dom_pts, img_pts, g = _sampled_g(base, samples, rng_seed)
+    img_pts, g = _sampled_g(
+        base, np.vstack([base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)])
+    )
     spread = float(np.ptp(g))
     if mode == "auto":
         if base.g_extension is not None:
@@ -253,12 +254,8 @@ def extend_G(
         w = np.exp(-(t**2))
         return np.maximum(w * val + (1.0 - w) * g_bar, g_floor)
 
-    holdout = base.chart.sample(256, rng_seed + 101)
-    f_h, resid_h, scale_h, q_h = model_conformal_factors(base, holdout)
-    ok = np.isfinite(f_h) & (f_h > 0) & (f_h < 1) & (resid_h <= 1e-6 * scale_h)
-    resid = float(
-        np.max(np.abs(evaluate_blend(q_h[ok]) - (-np.log(f_h[ok]))))
-    )
+    q_h, g_h = _sampled_g(base, base.chart.sample(256, rng_seed + 101))
+    resid = float(np.max(np.abs(evaluate_blend(q_h) - g_h)))
     return GExtension(evaluate_blend, "blend", None, {"extension_residual": resid})
 
 
@@ -284,8 +281,9 @@ def descent_residuals(
     """Componentwise defect of the glued form at points (s, x).
 
     Pulls e^s alpha back through the gluing map (s, x) -> (s + G(phi(x)),
-    phi(x)) using the full (dim+1)-dimensional Jacobian, including the dG
-    row, and compares against e^s alpha itself.
+    phi(x)) and compares against e^s alpha itself.  The form has no ds
+    term, so dG never enters the pullback and only the d-dimensional
+    Jacobian of phi is needed.
     """
     base = model.base
     if base.phi is None:
@@ -294,39 +292,11 @@ def descent_residuals(
     s = np.asarray(s, float).reshape(-1)
     if s.size != x.shape[0]:
         raise ValueError("s and x must have matching lengths")
-    d = x.shape[1]
-    codomain = base.codomain
 
-    q = codomain.reduce(base.phi(x))
-    g_img = model.G(q)
-    a_here = base.alpha(x)
-    a_img = base.codomain_alpha(q)
-    jac = base.phi.jac(x)
-
-    if model.G.constant is not None:
-        grad_g = np.zeros((x.shape[0], d))
-    else:
-        h = 1e-6
-        grad_g = np.empty((x.shape[0], d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            gp = model.G(codomain.reduce(base.phi(x + e)))
-            gm = model.G(codomain.reduce(base.phi(x - e)))
-            grad_g[:, j] = (gp - gm) / (2.0 * h)
-
-    n = x.shape[0]
-    lam_img = np.zeros((n, d + 1))
-    lam_img[:, 1:] = np.exp(s + g_img)[:, None] * a_img
-    jac_full = np.zeros((n, d + 1, d + 1))
-    jac_full[:, 0, 0] = 1.0
-    jac_full[:, 0, 1:] = grad_g
-    jac_full[:, 1:, 1:] = jac
-    pulled = np.einsum("ni,nij->nj", lam_img, jac_full)
-
-    rhs = np.zeros((n, d + 1))
-    rhs[:, 1:] = np.exp(s)[:, None] * a_here
-    return np.max(np.abs(pulled - rhs), axis=1)
+    q = base.codomain.reduce(base.phi(x))
+    lam = np.exp(s + model.G(q))[:, None] * base.codomain_alpha(q)
+    pulled = np.einsum("ni,nij->nj", lam, base.phi.jac(x))
+    return np.max(np.abs(pulled - np.exp(s)[:, None] * base.alpha(x)), axis=1)
 
 
 def descent_check(
@@ -335,7 +305,10 @@ def descent_check(
     tol: float = 1e-9,
     rng_seed: int = 0,
 ) -> float:
-    """Max descent residual over sampled (s, x); raises above tolerance."""
+    """Max descent residual over sampled (s, x); raises unless it is below
+    tolerance (so a NaN residual or tolerance fails)."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     chart = model.base.chart
     eng = qmc.Halton(d=chart.dim + 1, scramble=True, seed=rng_seed)
     u = eng.random(samples)
@@ -347,7 +320,7 @@ def descent_check(
         s_ref = float(np.mean(model.G(model.base.codomain.reduce(model.base.phi(x)))))
     s = u[:, chart.dim] * s_ref
     residual = float(np.max(descent_residuals(model, s, x)))
-    if residual >= tol:
+    if not residual < tol:
         raise DescentViolation(residual, tol)
     return residual
 
@@ -422,9 +395,8 @@ def boundary_transversality_check(
     target = 1.0 - model.tilt_eps * np.linspace(0.0, 1.0, len(pts))
     scale = target / r
     collar = pts.copy()
-    for i, c in enumerate(chart.coords):
-        if c.is_periodic:
-            continue
+    for i in chart.interval_idx:
+        c = chart.coords[i]
         mid = 0.5 * (c.lo + c.hi)
         collar[:, i] = mid + (collar[:, i] - mid) * scale
     g_vals = model.G(collar)
@@ -434,9 +406,11 @@ def boundary_transversality_check(
 
 # -- attractor iteration ------------------------------------------------------
 
-def _require_self_map(model: ContactModel) -> None:
+def _require_self_map(model: ContactModel, depth: int) -> None:
     if model.phi is None or not model.is_self_map:
         raise ModelError("attractor iteration needs a self-map model")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
 
 
 def _apply_map(model: ContactModel, pts: np.ndarray, threads: int) -> np.ndarray:
@@ -458,20 +432,6 @@ def _dedup(pts: np.ndarray, threshold: float) -> np.ndarray:
     return pts[np.sort(idx)]
 
 
-def _sample_meta(model: ContactModel, seeds: int, section_theta: float | None) -> dict:
-    chart = model.chart
-    periodic_idx = [i for i, c in enumerate(chart.coords) if c.is_periodic]
-    return {
-        "model": model.name,
-        "names": list(chart.names),
-        "periodic_idx": periodic_idx,
-        "interval_idx": [i for i in range(chart.dim) if i not in periodic_idx],
-        "periods": [c.period for c in chart.coords if c.is_periodic],
-        "seeds": seeds,
-        "section_theta": section_theta,
-    }
-
-
 def iterate_attractor(
     model: ContactModel,
     depth: int,
@@ -485,14 +445,12 @@ def iterate_attractor(
     The image cloud lies in the depth-fold image of the chart, which
     contains the attractor and converges to it in Hausdorff distance.
     """
-    _require_self_map(model)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _require_self_map(model, depth)
     pts = model.chart.sample(seeds, rng_seed)
     for _ in range(depth):
         pts = _apply_map(model, pts, threads)
     pts = _dedup(pts, dedup)
-    return SkeletonSample(points=pts, depth=depth, meta=_sample_meta(model, seeds, None))
+    return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 
 def section_cloud(
@@ -509,24 +467,22 @@ def section_cloud(
     ``theta0``, so the iterated cloud is the full cross-section of the
     depth-m image, free of slab-thickness smearing.
     """
-    _require_self_map(model)
+    _require_self_map(model, depth)
     chart = model.chart
-    periodic_idx = [i for i, c in enumerate(chart.coords) if c.is_periodic]
-    if len(periodic_idx) != 1:
+    if len(chart.periodic_idx) != 1:
         raise ModelError("section seeding needs exactly one circle factor")
     mult = int(model.params.get("angle_multiplier", 0))
     if mult < 1:
         raise ModelError("model does not expose an angle multiplier")
-    pi_idx = periodic_idx[0]
+    pi_idx = chart.periodic_idx[0]
     period = chart.coords[pi_idx].period
     branches = mult**depth
     angles = (theta0 + period * np.arange(branches)) / branches
 
-    interval_idx = [i for i in range(chart.dim) if i != pi_idx]
-    eng = qmc.Halton(d=len(interval_idx), scramble=True, seed=rng_seed)
+    eng = qmc.Halton(d=len(chart.interval_idx), scramble=True, seed=rng_seed)
     u = eng.random(seeds_per_branch)
     block = np.empty((seeds_per_branch, chart.dim))
-    for col, i in enumerate(interval_idx):
+    for col, i in enumerate(chart.interval_idx):
         c = chart.coords[i]
         block[:, i] = c.lo + u[:, col] * (c.hi - c.lo)
 
@@ -534,28 +490,24 @@ def section_cloud(
     pts[:, pi_idx] = np.repeat(angles, seeds_per_branch)
     for _ in range(depth):
         pts = _apply_map(model, pts, threads)
-    return SkeletonSample(
-        points=pts,
-        depth=depth,
-        meta=_sample_meta(model, branches * seeds_per_branch, theta0),
-    )
+    return SkeletonSample(points=pts, depth=depth, chart=chart)
 
 
 def cross_section(
     sample: SkeletonSample, theta0: float, thickness: float
 ) -> np.ndarray:
     """Interval-coordinate projection of sample points near a fiber angle."""
-    meta = sample.meta
-    periodic_idx = meta.get("periodic_idx", [])
-    if len(periodic_idx) != 1:
+    chart = sample.chart
+    if len(chart.periodic_idx) != 1:
         raise ModelError("cross sections need exactly one circle factor")
-    period = meta["periods"][0]
-    ang = np.mod(sample.points[:, periodic_idx[0]] - theta0, period)
+    pi_idx = chart.periodic_idx[0]
+    period = chart.coords[pi_idx].period
+    ang = np.mod(sample.points[:, pi_idx] - theta0, period)
     dist = np.minimum(ang, period - ang)
     mask = dist < thickness
     if not mask.any():
         raise EmptySection(f"no points within {thickness} of the fiber angle")
-    return sample.points[mask][:, meta["interval_idx"]]
+    return sample.points[mask][:, chart.interval_idx]
 
 
 def count_clusters(points: np.ndarray, gap: float) -> int:
@@ -649,8 +601,7 @@ def skeleton_analysis(
     box-counted.
     """
     chart = model.chart
-    periodic_idx = [i for i, c in enumerate(chart.coords) if c.is_periodic]
-    solenoid_like = len(periodic_idx) == 1 and model.params.get("angle_multiplier")
+    solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
     if solenoid_like:
         mult = int(model.params["angle_multiplier"])
         branches = max(1, mult**depth)
@@ -658,12 +609,10 @@ def skeleton_analysis(
         sample = section_cloud(
             model, depth, per_branch, theta0=theta0, rng_seed=rng_seed, threads=threads
         )
-        pts2 = sample.points[:, sample.meta["interval_idx"]]
+        pts2 = sample.points[:, chart.interval_idx]
         rate = float(model.params.get("rate_x", model.params.get("rate", 0.5)))
         use_scales = tuple(scales) if scales else _default_section_scales(rate, depth)
-        lows = np.array(
-            [chart.coords[i].lo for i in sample.meta["interval_idx"]]
-        )
+        lows = np.array([chart.coords[i].lo for i in chart.interval_idx])
         box = box_counting_dimension(pts2, use_scales, origin=lows)
         clusters = None
         if "rate_y" in model.params:

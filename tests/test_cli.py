@@ -147,6 +147,13 @@ class TestDescent:
         assert rep["status"] == "fail"
         assert rep["results"]["descent"]["max_residual"] > 1e-2
 
+    def test_nan_tol_fails_closed(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["descent", "--model", "solenoid", "--force-G", "2.1972",
+                    "--tol", "nan", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["status"] == "fail"
+
     def test_jet_space(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["descent", "--model", "jet-space", "--out", str(out)]) == 0
@@ -160,6 +167,25 @@ class TestDescent:
         assert run(["descent", "--model", "transverse-knot", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["descent"]["g_mode"] == "model"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["descent", "--model", "solenoid", "--samples", "0"],
+        ["descent", "--model", "solenoid", "--tilt-eps", "-1"],
+        ["skeleton", "--model", "solenoid", "--depth", "-1", "--seeds", "1000"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+         "--scales", "0.1"],
+        ["certify", "--model", "solenoid", "--samples", "-5"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+         "--section", "0.0", "--thickness", "0"],
+    ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
+            "skeleton-one-scale", "certify-samples-negative", "skeleton-empty-section"])
+    def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestReportShape:

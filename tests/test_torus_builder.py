@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from liouville_forge.contact_kernel import (
     builtin_model,
 )
 from liouville_forge.exactlin import IntMatrix
-from liouville_forge.spectrum_search import certify_matrix
+from liouville_forge.spectrum_search import SpectrumRequest, certify_matrix, find_matrix
 from liouville_forge.torus_builder import (
     DegenerateCloud,
     DescentViolation,
@@ -177,6 +178,22 @@ class TestDescent:
     def test_transverse_knot_descends(self):
         torus = build_mapping_torus(builtin_model("transverse_knot"))
         assert descent_check(torus, samples=500) < 1e-9
+
+    def test_residuals_evaluate_the_map_once(self):
+        # The transverse-knot roof is not constant; the form e^s alpha has no
+        # ds term, so its gradient is never needed.
+        torus = build_mapping_torus(builtin_model("transverse_knot"))
+        calls = []
+        phi = torus.base.phi
+
+        def forward(pts):
+            calls.append(len(pts))
+            return phi.forward(pts)
+
+        counted = replace(torus, base=replace(torus.base, phi=replace(phi, forward=forward)))
+        x = torus.base.chart.sample(64, rng_seed=0)
+        descent_residuals(counted, np.zeros(64), x)
+        assert calls == [64]
 
 
 class TestNormalizeFundamental:
@@ -391,6 +408,27 @@ class TestSkeletonDimension:
     def test_jet_space_smooth_skeleton(self):
         an = skeleton_analysis(builtin_model("jet_space"), 6, 50_000, rng_seed=0)
         assert abs(an.estimate - 2.0) < 0.2
+
+
+def _anosov_n3():
+    cert = find_matrix(SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7))
+    return anosov_model(cert.matrix, cert)
+
+
+@pytest.mark.parametrize(
+    "make, periodic, interval",
+    [
+        (lambda: builtin_model("solenoid"), (0,), (1, 2)),
+        (lambda: builtin_model("jet_space"), (1,), (0, 2)),
+        (_anosov_n3, (2, 3, 4), (0, 1)),
+    ],
+    ids=["solenoid", "jet_space", "anosov_n3"],
+)
+def test_chart_layout(make, periodic, interval):
+    model = make()
+    assert model.chart.periodic_idx == periodic
+    assert model.chart.interval_idx == interval
+    assert skeleton_analysis(model, 1, 2000, rng_seed=0).sample.chart is model.chart
 
 
 class TestCsvExport:
