@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Four subcommands (find-matrix, certify, skeleton, descent) that run the
-library and emit deterministic JSON reports: sorted keys, floats printed
-with 17 significant digits, and enough echoed inputs to re-run the command.
+library and emit deterministic JSON reports: sorted keys, floats in Python's
+shortest round-trip repr, and enough echoed inputs to re-run the command.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 search
 exhausted.
 """
@@ -13,8 +13,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .contact_kernel import (
@@ -36,42 +34,17 @@ from .torus_builder import (
     boundary_transversality_check,
     build_mapping_torus,
     constant_roof,
-    count_clusters,
     cross_section,
     descent_check,
     export_cloud_csv,
     iterate_attractor,
     skeleton_analysis,
-    suggested_section_gap,
 )
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
 # Inputs the library rejects; each ends the command with exit code 2.
 _USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, NonConstantG, EmptySection)
-
-
-class _Float17(float):
-    """Float that serializes with a fixed 17-significant-digit format."""
-
-    def __repr__(self) -> str:  # json uses repr for float subclasses
-        return format(float(self), ".17g")
-
-
-def _jsonify(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _Float17(float(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
 
 
 def resolve_threads(value: int | None) -> int:
@@ -100,7 +73,7 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
         "status": status,
         "results": results,
     }
-    text = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -165,19 +138,12 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
         theta0=theta0,
         threads=threads,
     )
+    results = {"skeleton": analysis.to_dict(), **extra}
     if args.section is not None:
         pts2 = cross_section(analysis.sample, args.section, args.thickness)
-    results = {"skeleton": analysis.to_dict(), **extra}
-
-    csv_points = None
-    csv_names = None
-    if args.section is not None:
         section_info: dict = {"theta0": args.section, "points": len(pts2)}
-        if "rate_y" in model.params:
-            sub = pts2[:: max(1, len(pts2) // 4096)]
-            section_info["clusters"] = count_clusters(
-                sub, suggested_section_gap(model, args.depth)
-            )
+        if analysis.section_clusters is not None:
+            section_info["clusters"] = analysis.section_clusters
         results["section"] = section_info
         csv_points = pts2
         csv_names = [model.chart.names[i] for i in model.chart.interval_idx]
@@ -190,7 +156,7 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
         csv_points = sample.points
         csv_names = list(model.chart.names)
 
-    if args.csv_out and csv_points is not None:
+    if args.csv_out:
         rows = export_cloud_csv(csv_points, csv_names, args.csv_out)
         results["csv"] = {"path": args.csv_out, "rows": rows}
 
@@ -314,11 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    needs_mu = args.command == "find-matrix" or getattr(args, "model", "") == "anosov"
-    if needs_mu and len(args.mu) != args.n - 2:
-        parser.error(f"--mu must supply exactly {args.n - 2} values for --n {args.n}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchExhausted as exc:

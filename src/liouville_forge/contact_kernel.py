@@ -48,6 +48,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # Central-difference step for Jacobians and for d(alpha) in the contact check.
 FD_STEP = 1e-5
+# Slack for rounding error when testing whether a point lies in the chart.
+CONTAINS_TOL = 1e-12
 
 
 class OutOfChart(Exception):
@@ -164,8 +166,8 @@ class Chart:
         margins[bad] = -np.inf
         return margins
 
-    def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        return self.interior_margins(pts) >= -tol
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        return self.interior_margins(pts) >= -CONTAINS_TOL
 
     def normalized_radius(self, pts: np.ndarray) -> np.ndarray:
         """Sup-norm radius of the interval factors, rescaled so the boundary
@@ -189,6 +191,8 @@ class Chart:
 
     def sample(self, n: int, rng_seed: int = 0) -> np.ndarray:
         """Low-discrepancy (scrambled Halton) points covering the chart."""
+        if n < 1:
+            raise ValueError("sample count must be positive")
         eng = qmc.Halton(d=self.dim, scramble=True, seed=rng_seed)
         u = eng.random(n)
         lo = self.lows()

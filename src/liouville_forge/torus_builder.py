@@ -285,16 +285,28 @@ def descent_residuals(
     term, so dG never enters the pullback and only the d-dimensional
     Jacobian of phi is needed.
     """
-    base = model.base
-    if base.phi is None:
-        raise ModelError("model has no map")
     x = np.atleast_2d(np.asarray(x, float))
     s = np.asarray(s, float).reshape(-1)
     if s.size != x.shape[0]:
         raise ValueError("s and x must have matching lengths")
+    return _descent_defect(model, s, x, *_glued_image(model, x))
 
+
+def _glued_image(model: MappingTorusModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image points phi(x), reduced into the codomain chart, and the roof there."""
+    base = model.base
+    if base.phi is None:
+        raise ModelError("model has no map")
     q = base.codomain.reduce(base.phi(x))
-    lam = np.exp(s + model.G(q))[:, None] * base.codomain_alpha(q)
+    return q, model.G(q)
+
+
+def _descent_defect(
+    model: MappingTorusModel, s: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Residuals at (s, x) given the image q = phi(x) and the roof g = G(q)."""
+    base = model.base
+    lam = np.exp(s + g)[:, None] * base.codomain_alpha(q)
     pulled = np.einsum("ni,nij->nj", lam, base.phi.jac(x))
     return np.max(np.abs(pulled - np.exp(s)[:, None] * base.alpha(x)), axis=1)
 
@@ -314,12 +326,10 @@ def descent_check(
     u = eng.random(samples)
     lo, hi = chart.lows(), chart.highs()
     x = lo + u[:, : chart.dim] * (hi - lo)
-    if model.G.constant is not None:
-        s_ref = model.G.constant
-    else:
-        s_ref = float(np.mean(model.G(model.base.codomain.reduce(model.base.phi(x)))))
+    q, g = _glued_image(model, x)
+    s_ref = model.G.constant if model.G.constant is not None else float(np.mean(g))
     s = u[:, chart.dim] * s_ref
-    residual = float(np.max(descent_residuals(model, s, x)))
+    residual = float(np.max(_descent_defect(model, s, x, q, g)))
     if not residual < tol:
         raise DescentViolation(residual, tol)
     return residual
@@ -424,6 +434,11 @@ def _apply_map(model: ContactModel, pts: np.ndarray, threads: int) -> np.ndarray
     return np.vstack(outs)
 
 
+# Image points whose coordinates round to the same multiple of this are
+# merged: they are copies of one point, not a finer level of the attractor.
+DEDUP_THRESHOLD = 1e-9
+
+
 def _dedup(pts: np.ndarray, threshold: float) -> np.ndarray:
     if threshold <= 0 or len(pts) == 0:
         return pts
@@ -437,7 +452,6 @@ def iterate_attractor(
     depth: int,
     seeds: int,
     rng_seed: int = 0,
-    dedup: float = 1e-9,
     threads: int = 1,
 ) -> SkeletonSample:
     """Push a quasi-random cloud through the map ``depth`` times.
@@ -449,7 +463,7 @@ def iterate_attractor(
     pts = model.chart.sample(seeds, rng_seed)
     for _ in range(depth):
         pts = _apply_map(model, pts, threads)
-    pts = _dedup(pts, dedup)
+    pts = _dedup(pts, DEDUP_THRESHOLD)
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 

@@ -127,6 +127,14 @@ class TestSkeleton:
         assert lines[0] == "theta,x,y"
         assert len(lines) > 1000
 
+    def test_depth8_section_clusters_match_analysis(self, tmp_path):
+        # The solenoid's depth-8 image meets a fiber in 2^8 disks.
+        out = tmp_path / "r.json"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "8",
+                    "--section", "0.0", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["section"]["clusters"] == results["skeleton"]["section_clusters"] == 256
+
 
 class TestDescent:
     def test_solenoid_passes(self, tmp_path):
@@ -179,8 +187,11 @@ class TestUsageErrors:
         ["certify", "--model", "solenoid", "--samples", "-5"],
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
          "--section", "0.0", "--thickness", "0"],
+        ["certify", "--model", "solenoid", "--samples", "0"],
+        ["find-matrix", "--n", "3", "--mu", "1.0", "2.0"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
-            "skeleton-one-scale", "certify-samples-negative", "skeleton-empty-section"])
+            "skeleton-one-scale", "certify-samples-negative", "skeleton-empty-section",
+            "certify-samples-0", "find-matrix-mu-count"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
@@ -206,6 +217,14 @@ class TestReportShape:
         out = tmp_path / "r.json"
         run(["descent", "--model", "solenoid", "--out", str(out)])
         assert "2.3025850929940455" in out.read_text()  # log(10) at 17 digits
+
+    def test_floats_use_shortest_repr(self, tmp_path):
+        out = tmp_path / "r.json"
+        run(["find-matrix", "--n", "2", "--eps", "0.4", "--out", str(out)])
+        assert '"eps": 0.4,' in out.read_text()
+        run(["certify", "--model", "solenoid", "--samples", "100", "--tol", "1e-8",
+             "--out", str(out)])
+        assert '"tol": 1e-08' in out.read_text()
 
 
 class TestThreads:

@@ -195,6 +195,21 @@ class TestDescent:
         descent_residuals(counted, np.zeros(64), x)
         assert calls == [64]
 
+    def test_check_evaluates_the_map_once(self):
+        # The non-constant roof needs G(phi(x)) for the mean roof height; the
+        # residuals reuse that image instead of mapping the points again.
+        torus = build_mapping_torus(builtin_model("transverse_knot"))
+        calls = []
+        phi = torus.base.phi
+
+        def forward(pts):
+            calls.append(len(pts))
+            return phi.forward(pts)
+
+        counted = replace(torus, base=replace(torus.base, phi=replace(phi, forward=forward)))
+        assert descent_check(counted, samples=200) == descent_check(torus, samples=200)
+        assert calls == [200]
+
 
 class TestNormalizeFundamental:
     def test_identity_in_domain(self, solenoid_torus):
@@ -408,6 +423,25 @@ class TestSkeletonDimension:
     def test_jet_space_smooth_skeleton(self):
         an = skeleton_analysis(builtin_model("jet_space"), 6, 50_000, rng_seed=0)
         assert abs(an.estimate - 2.0) < 0.2
+
+
+def _cat_map():
+    cert = certify_matrix(IntMatrix.from_rows([[2, 1], [1, 1]]))
+    return anosov_model(cert.matrix, cert)
+
+
+@pytest.mark.parametrize(
+    "make, depth, seeds",
+    [(lambda: builtin_model("solenoid"), 4, 200_000), (_cat_map, 3, 100_000)],
+    ids=["solenoid-section", "cat-map-cloud"],
+)
+def test_skeleton_analysis_independent_of_threads(make, depth, seeds):
+    # Both clouds exceed the size at which the map is applied in pooled chunks.
+    model = make()
+    one = skeleton_analysis(model, depth, seeds, rng_seed=0, threads=1)
+    two = skeleton_analysis(model, depth, seeds, rng_seed=0, threads=2)
+    assert two.to_dict() == one.to_dict()
+    assert np.array_equal(two.sample.points, one.sample.points)
 
 
 def _anosov_n3():
