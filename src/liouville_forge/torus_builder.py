@@ -439,11 +439,30 @@ def _apply_map(model: ContactModel, pts: np.ndarray, threads: int) -> np.ndarray
 DEDUP_THRESHOLD = 1e-9
 
 
+def _row_keys(cells: np.ndarray) -> np.ndarray:
+    """One key per row of a non-empty integer array, equal exactly when the
+    rows are equal.
+
+    Columns offset by their minimum pack into one int64 in mixed radix; when
+    the product of the column spans does not fit, the keys are a ``void``
+    view of the rows (byte order is not numeric order, equality is exact).
+    """
+    lo = cells.min(axis=0)
+    spans = [int(h) - int(l) + 1 for h, l in zip(cells.max(axis=0), lo)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        rows = np.ascontiguousarray(cells)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    keys = cells[:, 0] - lo[0]
+    for j in range(1, len(spans)):
+        keys = keys * spans[j] + (cells[:, j] - lo[j])
+    return keys
+
+
 def _dedup(pts: np.ndarray, threshold: float) -> np.ndarray:
     if threshold <= 0 or len(pts) == 0:
         return pts
-    keys = np.round(pts / threshold).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
+    keys = _row_keys(np.round(pts / threshold).astype(np.int64))
+    _, idx = np.unique(keys, return_index=True)
     return pts[np.sort(idx)]
 
 
@@ -574,8 +593,8 @@ def box_counting_dimension(
     )
     counts = []
     for s in scales:
-        cells = np.floor((pts - org) / s).astype(np.int64)
-        counts.append(int(np.unique(cells, axis=0).shape[0]))
+        keys = np.sort(_row_keys(np.floor((pts - org) / s).astype(np.int64)))
+        counts.append(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
     xs = np.log(1.0 / np.asarray(scales))
     ys = np.log(np.asarray(counts, float))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -630,11 +649,17 @@ def skeleton_analysis(
         box = box_counting_dimension(pts2, use_scales, origin=lows)
         clusters = None
         if "rate_y" in model.params:
-            # Keep enough points per branch that in-cluster spacing stays
-            # below the linkage gap at the current depth.
-            target = min(len(pts2), max(4096, 512 * branches))
-            sub = pts2[:: max(1, len(pts2) // target)]
-            clusters = count_clusters(sub, suggested_section_gap(model, depth))
+            # A branch is the seed box shrunk by rate**depth per coordinate;
+            # it links up at the gap only with about 3 points per gap-sized
+            # cell of that box.  With fewer, the count is left unclaimed.
+            gap = suggested_section_gap(model, depth)
+            rates = (rate, float(model.params["rate_y"]))
+            need = math.ceil(3 * math.prod(
+                max(1.0, (chart.coords[i].hi - chart.coords[i].lo) * r**depth / gap)
+                for i, r in zip(chart.interval_idx, rates)
+            ))
+            if per_branch >= need:
+                clusters = count_clusters(pts2[:: max(1, per_branch // need)], gap)
         return SkeletonAnalysis(
             estimate=2.0 + box.slope,
             route="section",

@@ -135,6 +135,14 @@ class TestSkeleton:
         results = json.loads(out.read_text())["results"]
         assert results["section"]["clusters"] == results["skeleton"]["section_clusters"] == 256
 
+    def test_thin_branches_report_no_clusters(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "8", "--seeds", "16384",
+                    "--section", "0.0", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"section_clusters": null' in text
+        assert "clusters" not in json.loads(text)["results"]["section"]
+
 
 class TestDescent:
     def test_solenoid_passes(self, tmp_path):

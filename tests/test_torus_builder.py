@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
@@ -25,6 +27,8 @@ from liouville_forge.torus_builder import (
     LeftDomain,
     MappingTorusModel,
     NonConstantG,
+    _dedup,
+    _row_keys,
     boundary_transversality_check,
     box_counting_dimension,
     build_mapping_torus,
@@ -481,3 +485,82 @@ class TestCsvExport:
         path = tmp_path / "cap.csv"
         rows = export_cloud_csv(pts, ["a", "b"], str(path), max_rows=100)
         assert rows <= 100
+
+
+def _oracle_counts(points, scales):
+    """Occupied boxes per scale (coarsest first) by distinct rows."""
+    return tuple(
+        len(np.unique(np.floor(points / s).astype(np.int64), axis=0))
+        for s in sorted(scales, reverse=True)
+    )
+
+
+def _oracle_dedup(pts, threshold):
+    keys = np.round(pts / threshold).astype(np.int64)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    return pts[np.sort(idx)]
+
+
+@st.composite
+def _integer_clouds(draw):
+    """Integer-valued clouds (on grid lines for the scales below), with
+    exact duplicates and negative coordinates; the wide range overflows the
+    packed key in several dimensions."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    bound = draw(st.sampled_from((40, 2**40)))
+    coord = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=40))
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    pts = np.array(rows + [rows[i] for i in dups], float)
+    assume(len(pts) == 1 or np.ptp(pts, axis=0).max() > 0)
+    return pts
+
+
+class TestPackedKeys:
+    @given(
+        _integer_clouds(),
+        st.lists(st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0, 7.0)),
+                 min_size=2, max_size=4, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_distinct_rows(self, pts, scales):
+        assert box_counting_dimension(pts, scales).counts == _oracle_counts(pts, scales)
+
+    def test_wide_cells_use_row_view(self):
+        rng = np.random.default_rng(0)
+        cells = rng.integers(-(2**22), 2**22, size=(2000, 3))
+        pts = np.vstack([cells, cells[::5]]).astype(float)
+        assert _row_keys(pts.astype(np.int64)).dtype.kind == "V"
+        scales = (1.0, 4.0)
+        assert box_counting_dimension(pts, scales).counts == _oracle_counts(pts, scales)
+
+    def test_dedup_row_view_on_anosov_n3(self):
+        model = _anosov_n3()
+        pts = model.chart.sample(20_000, 0)
+        for _ in range(3):
+            pts = model.chart.reduce(model.phi(pts))
+        pts = np.vstack([pts, pts[::7]])
+        assert _row_keys(np.round(pts / 1e-9).astype(np.int64)).dtype.kind == "V"
+        out = _dedup(pts, 1e-9)
+        assert len(out) < len(pts)
+        assert np.array_equal(out, _oracle_dedup(pts, 1e-9))
+
+    def test_dedup_packs_one_column(self):
+        rng = np.random.default_rng(1)
+        pts = rng.integers(-500, 500, size=(5000, 1)) * 1e-9
+        assert _row_keys(np.round(pts / 1e-9).astype(np.int64)).dtype == np.int64
+        out = _dedup(pts, 1e-9)
+        assert len(out) < len(pts)
+        assert np.array_equal(out, _oracle_dedup(pts, 1e-9))
+
+
+class TestSectionClusters:
+    def test_thin_branches_unclaimed(self, solenoid):
+        # 64 seeds per branch cannot link a depth-8 branch at the gap.
+        assert skeleton_analysis(solenoid, 8, 16_384).section_clusters is None
+
+    @pytest.mark.parametrize("per_branch", [64, 256])
+    @pytest.mark.parametrize("depth", [0, 4, 8, 9])
+    def test_count_is_right_or_unclaimed(self, solenoid, depth, per_branch):
+        clusters = skeleton_analysis(solenoid, depth, per_branch * 2**depth).section_clusters
+        assert clusters in (None, 2**depth)
