@@ -3,8 +3,10 @@
 Evaluates contact forms on box-with-circle-factor charts, pulls back
 1-forms through smooth maps (analytic Jacobians for the built-in models,
 central finite differences otherwise), and certifies the three contraction
-axioms by sampling: image interiority, local/sampled injectivity, and
-conformal rescaling of the contact form by a factor strictly inside (0, 1).
+axioms on sampled points: image interiority, injectivity (a nonsingular
+Jacobian, and exactly one in-chart preimage of each image through the map's
+own inverse), and conformal rescaling of the contact form by a factor
+strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .exactlin import IntMatrix, determinant
@@ -50,6 +51,8 @@ TWO_PI = 2.0 * math.pi
 FD_STEP = 1e-5
 # Slack for rounding error when testing whether a point lies in the chart.
 CONTAINS_TOL = 1e-12
+# Distance every image point must keep from the codomain's interval boundaries.
+INTERIOR_MARGIN = 1e-3
 
 
 class OutOfChart(Exception):
@@ -103,7 +106,6 @@ class Chart:
     """Product chart: intervals and circle factors, one per coordinate."""
 
     coords: tuple[Coord, ...]
-    interior_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.dim < 3 or self.dim % 2 == 0:
@@ -114,8 +116,6 @@ class Chart:
                     raise ValueError(f"coordinate {c.name}: period must be positive")
             elif not c.hi > c.lo:
                 raise ValueError(f"coordinate {c.name}: degenerate interval")
-        if self.interior_margin <= 0:
-            raise ValueError("interior_margin must be positive")
 
     @property
     def dim(self) -> int:
@@ -260,9 +260,11 @@ class OneForm:
 class SmoothMap:
     """Smooth map with analytic Jacobian when available, else central FD.
 
-    ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points
-    and return (N, dim) points or (N, dim, dim) Jacobians.  Calling the map
-    or its ``jac`` also accepts a single (dim,) point.
+    ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points.
+    ``forward`` returns (N, dim) points and ``jacobian`` (N, dim, dim)
+    Jacobians; ``inverse`` returns all B branches of the inverse as an
+    (N, B, dim) array, in or out of the chart.  Calling the map or its
+    ``jac`` also accepts a single (dim,) point.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -323,10 +325,12 @@ class ContactModel:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Sampled evidence for the three contraction axioms.
+    """Evidence for the three contraction axioms at the sampled points.
 
-    The injectivity part of the second axiom is a sampled check: it can
-    falsify but not prove, and is reported as "no violation found".
+    Injectivity counts, for each sampled image, the branches of the map's
+    inverse that land in the chart; ``d2["collisions"]`` is the number of
+    samples where that count is not exactly one.  A map without an inverse
+    fails ``d2``.  Every verdict covers the sampled points only.
     """
 
     model: str
@@ -505,25 +509,22 @@ def certify_contraction(
     d1_min = float(np.min(margins))
     d1 = {
         "min_margin": d1_min,
-        "required_margin": codomain.interior_margin,
-        "pass": bool(finite_img.all() and d1_min >= codomain.interior_margin),
+        "required_margin": INTERIOR_MARGIN,
+        "pass": bool(finite_img.all() and d1_min >= INTERIOR_MARGIN),
     }
 
     with np.errstate(all="ignore"):
         dets = np.linalg.det(jac)
     finite_det = np.isfinite(dets)
     det_min = float(np.min(np.abs(dets[finite_det]))) if finite_det.any() else 0.0
-    collisions = 0
-    good = finite_img & finite_det
-    if good.any():
-        qr = codomain.reduce(q[good])
-        dom = pts[good]
-        tree = cKDTree(codomain.embed_periodic(qr))
-        pairs = tree.query_pairs(r=tol * 1.1, output_type="ndarray")
-        if len(pairs):
-            img_d = codomain.periodic_distance(qr[pairs[:, 0]], qr[pairs[:, 1]])
-            dom_d = chart.periodic_distance(dom[pairs[:, 0]], dom[pairs[:, 1]])
-            collisions = int(np.sum((img_d < tol) & (dom_d >= 10.0 * tol)))
+    collisions = None
+    if model.phi.inverse is None:
+        notes.append("injectivity not checked: the map has no inverse")
+    else:
+        with np.errstate(all="ignore"):
+            pre = model.phi.inverse(codomain.reduce(q[finite_img]))
+        inside = chart.contains(pre.reshape(-1, chart.dim)).reshape(pre.shape[:2])
+        collisions = int(np.count_nonzero(inside.sum(axis=1) != 1))
     d2 = {
         "min_abs_det": det_min,
         "collisions": collisions,
@@ -582,10 +583,7 @@ def _jet_space_model(params: dict) -> ContactModel:
         return np.broadcast_to(jac_const, (len(p), 3, 3)).copy()
 
     def inverse(p):
-        out = np.column_stack([2.0 * p[:, 0], p[:, 1], 2.0 * p[:, 2]])
-        if np.any(np.abs(out[:, [0, 2]]) > 1.0 + 1e-9):
-            raise OutOfChart("preimage leaves the chart")
-        return out
+        return np.column_stack([2.0 * p[:, 0], p[:, 1], 2.0 * p[:, 2]])[:, None, :]
 
     return ContactModel(
         name="jet_space",
@@ -633,21 +631,11 @@ def _solenoid_model(params: dict) -> ContactModel:
         return out
 
     def inverse(p):
-        th2 = np.mod(p[:, 0], TWO_PI)
-        out = np.empty_like(p)
-        found = np.zeros(p.shape[0], dtype=bool)
-        for branch in (0.0, math.pi):
-            th = th2 / 2.0 + branch
-            x = (p[:, 1] - np.cos(th) / 2.0) * 10.0
-            y = (p[:, 2] - np.sin(th) / 4.0) * 20.0
-            ok = (~found) & (np.abs(x) <= 1.0 + 1e-9) & (np.abs(y) <= 1.0 + 1e-9)
-            out[ok, 0] = th[ok]
-            out[ok, 1] = x[ok]
-            out[ok, 2] = y[ok]
-            found |= ok
-        if not found.all():
-            raise OutOfChart("point is outside the image tube")
-        return out
+        # Angle doubling has the two branches theta/2 and theta/2 + pi.
+        th = np.mod(p[:, 0], TWO_PI)[:, None] / 2.0 + np.array([0.0, math.pi])
+        x = (p[:, 1, None] - np.cos(th) / 2.0) * 10.0
+        y = (p[:, 2, None] - np.sin(th) / 4.0) * 20.0
+        return np.stack([th, x, y], axis=-1)
 
     return ContactModel(
         name="solenoid",
@@ -711,6 +699,11 @@ def _transverse_knot_model(params: dict) -> ContactModel:
             out[:, 2, 2] = c * delta**2 / (c - delta * p[:, 2]) ** 2
         return out
 
+    def inverse(p):
+        return np.column_stack(
+            [p[:, 0] + p[:, 1] / delta, p[:, 1] / c, c / delta - c / p[:, 2]]
+        )[:, None, :]
+
     def g_ext(p):
         return -np.log(np.clip(p[:, 2], 1e-12, 1.0 - 1e-12))
 
@@ -718,7 +711,7 @@ def _transverse_knot_model(params: dict) -> ContactModel:
         name="transverse_knot",
         chart=chart,
         alpha=OneForm(alpha, "dtheta - y dx"),
-        phi=SmoothMap(forward, jacobian, None),
+        phi=SmoothMap(forward, jacobian, inverse),
         params={"c": c, "delta": delta, "eps": eps},
         target_chart=target,
         target_alpha=OneForm(alpha_bar, "dx_bar + y_bar dtheta_bar"),
@@ -840,9 +833,7 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
         out = np.empty_like(p)
         out[:, : n - 1] = p[:, : n - 1] / rates[None, :]
         out[:, n - 1 :] = p[:, n - 1 :] @ a_inv.T
-        if np.any(np.abs(out[:, : n - 1]) > 1.0 + 1e-9):
-            raise OutOfChart("preimage leaves the disk factor")
-        return out
+        return out[:, None, :]
 
     return ContactModel(
         name="anosov",

@@ -24,7 +24,6 @@ from .contact_kernel import (
     Chart,
     ContactModel,
     ModelError,
-    OutOfChart,
     model_conformal_factors,
 )
 
@@ -73,7 +72,7 @@ class DescentViolation(Exception):
 
 
 class LeftDomain(Exception):
-    """Fundamental-domain reduction required an unavailable preimage."""
+    """Fundamental-domain reduction needed a preimage that is missing or not unique."""
 
 
 class EmptySection(Exception):
@@ -362,12 +361,12 @@ def normalize_fundamental(
         else:
             if base.phi.inverse is None:
                 raise LeftDomain("no inverse available for upward reduction")
-            try:
-                prev = base.phi.inverse(pt[None, :])[0]
-            except OutOfChart as exc:
-                raise LeftDomain(str(exc)) from exc
+            pre = base.phi.inverse(pt[None, :])[0]
+            pre = pre[base.chart.contains(pre)]
+            if len(pre) != 1:
+                raise LeftDomain(f"{len(pre)} in-chart preimages, not exactly one")
             s -= g_here
-            pt = base.chart.reduce(prev[None, :])[0]
+            pt = base.chart.reduce(pre)[0]
     raise LeftDomain("reduction failed to terminate")
 
 

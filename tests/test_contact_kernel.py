@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ def test_batch_matches_stacked_single_points(name, request):
         np.testing.assert_allclose(batched, stacked, rtol=0, atol=atol)
     # The form is contact in every dimension, up to d = 7 for anosov n = 4.
     assert np.all(np.abs(contact_check(model.alpha, pts)) > 1e-3)
+
+
+@pytest.mark.parametrize("name", ["solenoid", "jet", "knot", "anosov3"])
+def test_inverse_round_trip(name, request):
+    model = request.getfixturevalue(name)
+    pts = model.chart.sample(2000, rng_seed=3)
+    pre = model.phi.inverse(model.codomain.reduce(model.phi(pts)))
+    n, b, d = pre.shape
+    assert (n, d) == pts.shape
+    inside = model.chart.contains(pre.reshape(n * b, d)).reshape(n, b)
+    assert np.all(inside.sum(axis=1) == 1)
+    assert np.max(model.chart.periodic_distance(pre[inside], pts)) < 1e-9
 
 
 class TestEvalPullback:
@@ -259,6 +272,34 @@ class TestCertifyContraction:
         out = certify_contraction(model, samples=3000, rng_seed=1)
         assert out.passed
         assert out.d3["factor_max"] == pytest.approx(cert.roots[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("with_inverse", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_k_to_one_map_fails_injectivity(self, solenoid, k, seed, with_inverse):
+        # (theta, x, y) -> (k theta, x/10, y/(10k)) rescales dx + y dtheta by
+        # 1/10 and keeps its image deep inside the chart, but every image
+        # point has k preimages.
+        scale = np.array([k, 0.1, 0.1 / k])
+
+        def jacobian(p):
+            return np.broadcast_to(np.diag(scale), (len(p), 3, 3)).copy()
+
+        def inverse(p):
+            th = p[:, 0, None] / k + 2.0 * math.pi * np.arange(k) / k
+            rest = np.broadcast_to(p[:, None, 1:] / scale[1:], th.shape + (2,))
+            return np.concatenate([th[:, :, None], rest], axis=-1)
+
+        phi = SmoothMap(lambda p: p * scale, jacobian, inverse if with_inverse else None)
+        cert = certify_contraction(
+            replace(solenoid, phi=phi), samples=10_000, rng_seed=seed
+        )
+        assert cert.d1["pass"] and cert.d3["pass"]
+        assert not cert.passed
+        if with_inverse:
+            assert cert.d2["collisions"] == cert.sample_count
+        else:
+            assert "injectivity not checked: the map has no inverse" in cert.notes
 
 
 class TestBuiltinModels:
