@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .exactlin import IntMatrix, determinant
 from .spectrum_search import SpectrumCertificate
@@ -36,6 +35,7 @@ __all__ = [
     "UnknownModel",
     "EigenFailure",
     "ModelError",
+    "halton",
     "eval_pullback",
     "model_pullback",
     "conformal_factor",
@@ -77,6 +77,49 @@ class EigenFailure(Exception):
 
 class ModelError(Exception):
     """Model is unusable for the requested certification."""
+
+
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def halton(n: int, d: int, seed: int) -> np.ndarray:
+    """Owen-scrambled Halton points in [0, 1)^d, shape ``(n, d)``.
+
+    Bitwise equal to ``scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed).random(n)``: per prime base b, the ``ceil(54 / log2 b) - 1``
+    digit permutations are drawn as scipy draws them, from one
+    ``np.random.default_rng(seed)``, and the permuted digits are added low
+    digit first, each times ``b2r`` = b**-(j+1) by repeated division, as
+    scipy's loop adds them.  The sums are built as a digit tree: ``s`` holds
+    the partial sums of every index below b**j, and the next digit extends
+    it by an outer sum.  Once ``s`` covers all n indices, every higher digit
+    is 0 and adds one scalar.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((d, n))
+    for col, base in zip(out, _first_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        s = np.zeros(1)
+        b2r = 1.0 / base
+        for perm in perms:
+            if len(s) < n:
+                rows = min(base, -(-n // len(s)))
+                s = (s[None, :] + (perm[:rows] * b2r)[:, None]).ravel()[:n]
+            else:
+                s += perm[0] * b2r
+            b2r /= base
+        col[:] = s
+    # Column-major, as scipy returns it, so reductions see the same layout.
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -190,11 +233,10 @@ class Chart:
         return np.linalg.norm(d, axis=1)
 
     def sample(self, n: int, rng_seed: int = 0) -> np.ndarray:
-        """Low-discrepancy (scrambled Halton) points covering the chart."""
+        """Low-discrepancy points covering the chart, from ``halton``."""
         if n < 1:
             raise ValueError("sample count must be positive")
-        eng = qmc.Halton(d=self.dim, scramble=True, seed=rng_seed)
-        u = eng.random(n)
+        u = halton(n, self.dim, rng_seed)
         lo = self.lows()
         hi = self.highs()
         return lo + u * (hi - lo)

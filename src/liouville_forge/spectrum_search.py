@@ -88,8 +88,10 @@ class SpectrumRequest:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not math.isfinite(self.eps) or self.eps <= 0:
+            raise ValueError("eps must be positive and finite")
+        if not all(math.isfinite(m) for m in self.mu):
+            raise ValueError("target values must be finite")
         if len(self.mu) != self.n - 2:
             raise ValueError(f"expected {self.n - 2} target values, got {len(self.mu)}")
         if self.k1_max < 1:

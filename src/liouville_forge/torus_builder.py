@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .contact_kernel import (
     Chart,
     ContactModel,
     ModelError,
+    halton,
     model_conformal_factors,
 )
 
@@ -232,6 +228,8 @@ def extend_G(
 
     if mode != "blend":
         raise ValueError(f"unknown extension mode {mode!r}")
+    from scipy.interpolate import RBFInterpolator
+    from scipy.spatial import cKDTree
 
     imgs = codomain.reduce(img_pts)
     emb = codomain.embed_periodic(imgs)
@@ -321,8 +319,7 @@ def descent_check(
     if samples < 1:
         raise ValueError("samples must be positive")
     chart = model.base.chart
-    eng = qmc.Halton(d=chart.dim + 1, scramble=True, seed=rng_seed)
-    u = eng.random(samples)
+    u = halton(samples, chart.dim + 1, rng_seed)
     lo, hi = chart.lows(), chart.highs()
     x = lo + u[:, : chart.dim] * (hi - lo)
     q, g = _glued_image(model, x)
@@ -511,8 +508,7 @@ def section_cloud(
     branches = mult**depth
     angles = (theta0 + period * np.arange(branches)) / branches
 
-    eng = qmc.Halton(d=len(chart.interval_idx), scramble=True, seed=rng_seed)
-    u = eng.random(seeds_per_branch)
+    u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
     block = np.empty((seeds_per_branch, chart.dim))
     for col, i in enumerate(chart.interval_idx):
         c = chart.coords[i]
@@ -544,6 +540,10 @@ def cross_section(
 
 def count_clusters(points: np.ndarray, gap: float) -> int:
     """Single-linkage component count at the given gap threshold."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     pts = np.atleast_2d(np.asarray(points, float))
     n = len(pts)
     if n == 0:
@@ -581,6 +581,8 @@ def box_counting_dimension(
     scales = sorted((float(s) for s in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
+    if not all(math.isfinite(s) for s in scales):
+        raise ValueError("scales must be finite")
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
     if len(pts) > 1 and float(np.max(np.ptp(pts, axis=0))) == 0.0:
@@ -632,6 +634,8 @@ def skeleton_analysis(
     direction contributes another 1); otherwise the full attractor cloud is
     box-counted.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be positive")
     chart = model.chart
     solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
     if solenoid_like:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liouville_forge
 from liouville_forge.cli import main, resolve_threads
 
 
@@ -197,14 +202,41 @@ class TestUsageErrors:
          "--section", "0.0", "--thickness", "0"],
         ["certify", "--model", "solenoid", "--samples", "0"],
         ["find-matrix", "--n", "3", "--mu", "1.0", "2.0"],
+        ["find-matrix", "--n", "3", "--mu", "inf"],
+        ["find-matrix", "--n", "3", "--mu", "1.0", "--eps", "nan"],
+        ["find-matrix", "--n", "3", "--mu", "1.0", "--eps", "inf"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "-3"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+         "--scales", "nan", "0.1"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "skeleton-empty-section",
-            "certify-samples-0", "find-matrix-mu-count"])
+            "certify-samples-0", "find-matrix-mu-count", "find-matrix-mu-inf",
+            "find-matrix-eps-nan", "find-matrix-eps-inf", "skeleton-seeds-negative",
+            "skeleton-scales-nan"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestImports:
+    def test_find_matrix_imports_no_scipy(self, tmp_path):
+        # scipy is imported only where clusters are counted or a blend roof
+        # is fitted; a module-level import would cost every command.
+        script = (
+            "import sys\n"
+            "import liouville_forge.cli\n"
+            "liouville_forge.cli.main(['find-matrix', '--n', '3', '--mu', '1.0',"
+            " '--out', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(liouville_forge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script, "r.json"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestReportShape:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from liouville_forge.contact_kernel import (
     Chart,
@@ -19,6 +20,7 @@ from liouville_forge.contact_kernel import (
     contact_check,
     eval_pullback,
     fd_jacobian,
+    halton,
     model_pullback,
 )
 from liouville_forge.exactlin import IntMatrix
@@ -386,6 +388,19 @@ class TestNumericalHygiene:
         a = solenoid.chart.sample(100, rng_seed=42)
         b = solenoid.chart.sample(100, rng_seed=42)
         assert np.array_equal(a, b)
+
+
+class TestHalton:
+    # Powers of a base and one past them sit on the digit tree's boundary.
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 20])
+    def test_bitwise_equal_to_scipy(self, d, seed):
+        for n in (1, 2, 3, 8, 9, 27, 28, 37, 100_000):
+            ours = halton(n, d, seed)
+            ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert ours.shape == ref.shape == (n, d)
+            assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), n
+            assert ours.flags.f_contiguous == ref.flags.f_contiguous
 
 
 class TestChart:
