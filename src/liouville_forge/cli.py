@@ -208,10 +208,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_model_args(p: argparse.ArgumentParser, models: tuple[str, ...]) -> None:
     p.add_argument("--model", required=True, choices=models)
-    p.add_argument("--c", type=float, default=0.1, help="transverse-knot slope parameter")
-    p.add_argument("--delta", type=float, default=1e-3, help="transverse-knot push-off size")
-    p.add_argument("--knot-eps", type=float, default=0.5, dest="knot_eps",
-                   help="transverse-knot neighborhood radius")
+    if "transverse-knot" in models:
+        p.add_argument("--c", type=float, default=0.1, help="transverse-knot slope parameter")
+        p.add_argument("--delta", type=float, default=1e-3, help="transverse-knot push-off size")
+        p.add_argument("--knot-eps", type=float, default=0.5, dest="knot_eps",
+                       help="transverse-knot neighborhood radius")
     p.add_argument("--n", type=int, default=2, help="anosov: torus dimension")
     p.add_argument("--mu", type=float, nargs="*", default=[],
                    help="anosov: prescribed middle eigenvalues (n-2 values)")
@@ -231,10 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # Whole option names only: skeleton would read an unknown "--c" as "--csv-out".
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("find-matrix", help="search for a unit-determinant matrix "
-                       "with prescribed real spectrum")
+    p = sub.add_parser("find-matrix", allow_abbrev=False, help="search for a "
+                       "unit-determinant matrix with prescribed real spectrum")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=float, nargs="*", default=[])
     p.add_argument("--eps", type=float, default=0.5)
@@ -242,15 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_find_matrix)
 
-    p = sub.add_parser("certify", help="certify the contraction axioms for a model")
+    p = sub.add_parser("certify", allow_abbrev=False,
+                       help="certify the contraction axioms for a model")
     _add_model_args(p, ("solenoid", "jet-space", "transverse-knot", "anosov"))
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("skeleton", help="attractor iteration, cross-sections, and "
-                       "box-counting dimension")
+    p = sub.add_parser("skeleton", allow_abbrev=False, help="attractor iteration, "
+                       "cross-sections, and box-counting dimension")
     _add_model_args(p, ("solenoid", "jet-space", "anosov"))
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seeds", type=int, default=100_000)
@@ -263,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_skeleton)
 
-    p = sub.add_parser("descent", help="check that the rescaled form survives the "
-                       "mapping-torus gluing")
+    p = sub.add_parser("descent", allow_abbrev=False, help="check that the rescaled "
+                       "form survives the mapping-torus gluing")
     _add_model_args(p, ("solenoid", "jet-space", "transverse-knot", "anosov"))
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)

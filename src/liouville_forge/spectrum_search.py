@@ -2,10 +2,10 @@
 
 Pipeline: seed the middle eigenvalues near the requested tuple, express the
 integer constraints through elementary symmetric polynomials, scan the
-translation orbit on the torus for a near-integer hit, polish with Newton,
-split off the large/small eigenvalue pair from the residual quadratic, and
-finally re-verify everything on the exact integer companion matrix with
-Sturm-certified root isolation.
+translation orbit on the torus for a near-integer hit, and let the exact
+layer alone accept or reject it: Sturm-certified root isolation on the
+integer companion matrix.  ``newton_refine`` and ``solve_tail`` are
+standalone float helpers that ``find_matrix`` does not call.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def newton_refine(
     """Polish the middle eigenvalues until the eliminated system residual
     drops below ``tol``.  Analytic Jacobian through the symmetric functions
     (the derivative of sigma_j in lambda_i is sigma_{j-1} of the tuple with
-    lambda_i omitted)."""
+    lambda_i omitted).  ``find_matrix`` does not call this helper."""
     lam = np.asarray(seed.lams, dtype=float)
     if lam.size == 0:
         return ()
@@ -309,7 +309,8 @@ def newton_refine(
 
 
 def solve_tail(sigma: SigmaVector, k1: int) -> tuple[float, float]:
-    """Real roots of t^2 - (k1 - sigma_1) t + 1/sigma_m, larger magnitude first."""
+    """Real roots of t^2 - (k1 - sigma_1) t + 1/sigma_m, larger magnitude first.
+    ``find_matrix`` does not call this helper."""
     if sigma.last == 0:
         raise DegenerateSigma("sigma_{n-2} vanishes")
     b = k1 - sigma.value(1)
@@ -376,15 +377,14 @@ def _greedy_match(mids: list[float], pool: list[int], mu: Sequence[float]) -> li
 
 
 def _certificate_from_matrix(
-    A: IntMatrix,
-    k_sys: tuple[int, ...],
-    mu: Sequence[float],
-    eps: float | None,
+    A: IntMatrix, mu: Sequence[float], eps: float | None
 ) -> SpectrumCertificate | None:
-    """Exact verification pass: Sturm-count the spectrum, refine roots,
-    and check the magnitude conditions with interval endpoints."""
+    """Exact verification pass: read k off the characteristic polynomial,
+    Sturm-count the spectrum, refine roots, and check the magnitude
+    conditions with interval endpoints."""
     n = A.n
     poly = char_poly(A)
+    k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
     try:
         iso = sturm_isolate(poly, require_simple=True)
     except SquareFreeViolation:
@@ -469,30 +469,27 @@ def certify_matrix(
     n = A.n
     if len(mu) not in (0, n - 2):
         raise ValueError("mu must be empty or have length n-2")
-    poly = char_poly(A)
-    coeffs = poly.coeffs
-    # Elementary symmetric values from the characteristic coefficients.
-    k_sys = tuple(int((-1) ** i) * coeffs[n - i] for i in range(1, n))
     mu_eff = tuple(mu) if mu else tuple(0.0 for _ in range(n - 2))
-    cert = _certificate_from_matrix(A, k_sys, mu_eff, eps)
+    cert = _certificate_from_matrix(A, mu_eff, eps)
     if cert is None:
         raise ValueError("matrix spectrum is not real and simple (or fails conditions)")
     return cert if mu else replace(cert, mu=())
 
 
 def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
-    """Full search pipeline returning a verified certificate.
+    """Seed, scan, and return the first scan hit that verifies exactly.
 
-    Retry policy: three re-seeds on top of the initial attempt, doubling the
-    scan budget each time, then ``SearchExhausted``.
+    A hit (k1, k') becomes the companion matrix of (k1,) + k', which
+    ``_certificate_from_matrix`` alone accepts or rejects.  Retry policy:
+    three re-seeds on top of the initial attempt, doubling the scan budget
+    each time, then ``SearchExhausted``.
     """
     scan_eps = min(request.eps / 8.0, 0.05)
     for attempt in range(4):
         seeded = replace(
             request, k1_max=request.k1_max * (2**attempt), seed=request.seed + attempt
         )
-        seed = seed_lambdas(seeded)
-        sigma0 = elementary_symmetric(seed.lams)
+        sigma0 = elementary_symmetric(seed_lambdas(seeded).lams)
         xv = x_vector(sigma0)
         k1 = _k1_floor(sigma0, request.eps)
         while k1 <= seeded.k1_max:
@@ -500,21 +497,10 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
                 k1, kprime = ergodic_scan(xv, sigma0, scan_eps, k1, seeded.k1_max)
             except NotFound:
                 break
-            try:
-                lam = newton_refine(kprime, k1, seed)
-                sigma = elementary_symmetric(lam)
-                resid = residual_dynamics(sigma, k1, kprime) if lam else ()
-                solve_tail(sigma, k1)  # raises ComplexTail if k1 too small
-                k_sys = (k1,) + kprime
-                A = companion_matrix(tuple(reversed(k_sys)))
-                cert = _certificate_from_matrix(A, k_sys, request.mu, request.eps)
-                if cert is not None:
-                    dynamics_max = max((abs(v) for v in resid), default=0.0)
-                    return replace(
-                        cert, residuals={**cert.residuals, "dynamics_max": dynamics_max}
-                    )
-            except (ComplexTail, SingularJacobian, NoConvergence, DegenerateSigma):
-                pass
+            A = companion_matrix(tuple(reversed((k1,) + kprime)))
+            cert = _certificate_from_matrix(A, request.mu, request.eps)
+            if cert is not None:
+                return cert
             k1 += 1
     raise SearchExhausted(
         f"no certificate for n={request.n}, eps={request.eps} within budget"

@@ -219,6 +219,14 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_skeleton_rejects_knot_flags(self, tmp_path, capsys):
+        # skeleton cannot build the transverse knot, so it has no knot flags.
+        out = tmp_path / "r.json"
+        argv = ["skeleton", "--model", "solenoid", "--depth", "1", "--c", "0.2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments: --c 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestImports:
     def test_find_matrix_imports_no_scipy(self, tmp_path):

