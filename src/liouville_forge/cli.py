@@ -30,7 +30,6 @@ from .torus_builder import (
     EmptySection,
     GExtension,
     MappingTorusModel,
-    NonConstantG,
     boundary_transversality_check,
     build_mapping_torus,
     constant_roof,
@@ -44,7 +43,10 @@ from .torus_builder import (
 SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
 # Inputs the library rejects; each ends the command with exit code 2.
-_USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, NonConstantG, EmptySection)
+_USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, EmptySection)
+# Half-width of the slab that --section cuts from the section cloud, whose
+# points are seeded on the fiber itself.
+SECTION_THICKNESS = 1e-6
 
 
 def resolve_threads(value: int | None) -> int:
@@ -140,7 +142,7 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
     )
     results = {"skeleton": analysis.to_dict(), **extra}
     if args.section is not None:
-        pts2 = cross_section(analysis.sample, args.section, args.thickness)
+        pts2 = cross_section(analysis.sample, args.section, SECTION_THICKNESS)
         section_info: dict = {"theta0": args.section, "points": len(pts2)}
         if analysis.section_clusters is not None:
             section_info["clusters"] = analysis.section_clusters
@@ -172,9 +174,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
             base=model, G=GExtension(constant_roof(g0), "forced", g0), tilt_eps=args.tilt_eps
         )
     else:
-        torus = build_mapping_torus(
-            model, mode=args.g_mode, tilt_eps=args.tilt_eps, rng_seed=args.seed
-        )
+        torus = build_mapping_torus(model, tilt_eps=args.tilt_eps, rng_seed=args.seed)
     margin = boundary_transversality_check(torus, rng_seed=args.seed)
     try:
         residual = descent_check(torus, samples=args.samples, tol=args.tol, rng_seed=args.seed)
@@ -260,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", type=float, nargs="*", default=None)
     p.add_argument("--section", type=float, default=None,
                    help="fiber angle for a structured cross-section")
-    p.add_argument("--thickness", type=float, default=1e-6,
-                   help="cross-section slab half-width")
     p.add_argument("--csv-out", type=str, default=None, dest="csv_out")
     _add_common(p)
     p.set_defaults(func=cmd_skeleton)
@@ -273,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--force-G", type=float, default=None, dest="force_G",
                    help="override the roof function with a constant")
-    p.add_argument("--g-mode", choices=("auto", "constant", "blend", "model"),
-                   default="auto", dest="g_mode")
     p.add_argument("--tilt-eps", type=float, default=0.1, dest="tilt_eps")
     _add_common(p)
     p.set_defaults(func=cmd_descent)

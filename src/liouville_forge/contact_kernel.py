@@ -179,12 +179,10 @@ class Chart:
         return tuple(i for i in range(self.dim) if i not in self.periodic_idx)
 
     def lows(self) -> np.ndarray:
-        return np.array([0.0 if c.is_periodic else c.lo for c in self.coords])
+        return np.array([c.lo for c in self.coords])
 
     def highs(self) -> np.ndarray:
-        return np.array(
-            [c.period if c.is_periodic else c.hi for c in self.coords]
-        )
+        return np.array([c.hi for c in self.coords])
 
     def reduce(self, pts: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [0, period)."""
@@ -257,8 +255,9 @@ class Chart:
         return pts
 
     def embed_periodic(self, pts: np.ndarray) -> np.ndarray:
-        """Isометric-to-second-order embedding of circle factors into the
-        plane, for KD-tree neighbor queries at small radii."""
+        """Isometric-to-second-order embedding of circle factors into the
+        plane, for the blend roof's interpolation and nearest-neighbor
+        distances at small radii."""
         cols = []
         for i, c in enumerate(self.coords):
             if c.is_periodic:
@@ -406,12 +405,14 @@ def _pullback(
     map_: SmoothMap, form: OneForm, pts: np.ndarray, codomain: Chart | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jacobian-transpose of the map applied to the form at the image
-    points, for (N, d) points.  Returns the pullback, the raw (unreduced)
-    images and the Jacobians."""
+    points, for (N, d) points.  Returns the pullback, the images (reduced
+    into ``codomain`` when one is given) and the Jacobians."""
     with np.errstate(all="ignore"):
         q = map_(pts)
+        if codomain is not None:
+            q = codomain.reduce(q)
         jac = map_.jac(pts)
-        w = form(q if codomain is None else codomain.reduce(q))
+        w = form(q)
         pb = np.einsum("ni,nij->nj", w, jac)
     return pb, q, jac
 
@@ -564,7 +565,7 @@ def certify_contraction(
         notes.append("injectivity not checked: the map has no inverse")
     else:
         with np.errstate(all="ignore"):
-            pre = model.phi.inverse(codomain.reduce(q[finite_img]))
+            pre = model.phi.inverse(q[finite_img])
         inside = chart.contains(pre.reshape(-1, chart.dim)).reshape(pre.shape[:2])
         collisions = int(np.count_nonzero(inside.sum(axis=1) != 1))
     d2 = {

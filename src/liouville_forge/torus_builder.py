@@ -30,7 +30,6 @@ __all__ = [
     "SkeletonSample",
     "BoxCountResult",
     "SkeletonAnalysis",
-    "NonConstantG",
     "DescentViolation",
     "LeftDomain",
     "EmptySection",
@@ -52,10 +51,6 @@ __all__ = [
     "skeleton_analysis",
     "export_cloud_csv",
 ]
-
-
-class NonConstantG(Exception):
-    """Constant extension requested but the sampled factor varies."""
 
 
 class DescentViolation(Exception):
@@ -170,8 +165,8 @@ def constant_roof(g0: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _sampled_g(base: ContactModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image points and exponents -log f at the samples with a valid
-    conformal factor f."""
+    """Image points, reduced into the codomain chart, and exponents -log f
+    at the samples with a valid conformal factor f."""
     f, resid, scale, q = model_conformal_factors(base, pts)
     valid = np.isfinite(f) & (f > 0.0) & (f < 1.0) & (resid <= 1e-6 * scale)
     if not valid.any():
@@ -181,58 +176,42 @@ def _sampled_g(base: ContactModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def extend_G(
     base: ContactModel,
-    mode: str = "auto",
     samples: int = 2048,
     rng_seed: int = 0,
     tilt_eps: float = 0.1,
 ) -> GExtension:
     """Extend the contraction exponent off the image of the map.
 
-    ``constant`` is exact whenever the conformal factor is constant;
-    ``blend`` interpolates sampled values over the image and feathers to
-    the mean value outside, clamped to half the minimum; ``model`` uses an
-    exact extension supplied by the model itself.
+    Uses the model's own exact extension when it supplies one; otherwise
+    the constant when the sampled exponent varies by at most 1e-9, which is
+    exact for a constant conformal factor; otherwise the blend, which
+    interpolates sampled values over the image and feathers to the mean
+    value outside, clamped to half the minimum.
     """
     img_pts, g = _sampled_g(
         base, np.vstack([base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)])
     )
-    spread = float(np.ptp(g))
-    if mode == "auto":
-        if base.g_extension is not None:
-            mode = "model"
-        elif spread <= 1e-9:
-            mode = "constant"
-        else:
-            mode = "blend"
-
-    if mode == "constant":
-        if spread > 1e-9:
-            raise NonConstantG(f"sampled exponent varies by {spread:.3e}")
-        g0 = float(np.median(g))
-        return GExtension(constant_roof(g0), "constant", g0, {"spread": spread})
-
     codomain = base.codomain
-    if mode == "model":
-        if base.g_extension is None:
-            raise ModelError("model supplies no exact extension")
+    if base.g_extension is not None:
         ext = base.g_extension
 
         def evaluate_model(pts: np.ndarray) -> np.ndarray:
             return np.asarray(ext(codomain.reduce(pts)), float)
 
-        check = evaluate_model(codomain.reduce(img_pts))
-        resid = float(np.max(np.abs(check - g)))
+        resid = float(np.max(np.abs(evaluate_model(img_pts) - g)))
         if resid > 1e-8:
             raise ModelError(f"model extension fails on the image: {resid:.3e}")
         return GExtension(evaluate_model, "model", None, {"extension_residual": resid})
 
-    if mode != "blend":
-        raise ValueError(f"unknown extension mode {mode!r}")
+    spread = float(np.ptp(g))
+    if spread <= 1e-9:
+        g0 = float(np.median(g))
+        return GExtension(constant_roof(g0), "constant", g0, {"spread": spread})
+
     from scipy.interpolate import RBFInterpolator
     from scipy.spatial import cKDTree
 
-    imgs = codomain.reduce(img_pts)
-    emb = codomain.embed_periodic(imgs)
+    emb = codomain.embed_periodic(img_pts)
     neighbors = min(128, len(emb) - 1)
     rbf = RBFInterpolator(emb, g, kernel="thin_plate_spline", neighbors=neighbors)
     tree = cKDTree(emb)
@@ -258,14 +237,13 @@ def extend_G(
 
 def build_mapping_torus(
     base: ContactModel,
-    mode: str = "auto",
     tilt_eps: float = 0.1,
     samples: int = 2048,
     rng_seed: int = 0,
 ) -> MappingTorusModel:
     return MappingTorusModel(
         base=base,
-        G=extend_G(base, mode=mode, samples=samples, rng_seed=rng_seed, tilt_eps=tilt_eps),
+        G=extend_G(base, samples=samples, rng_seed=rng_seed, tilt_eps=tilt_eps),
         tilt_eps=tilt_eps,
     )
 

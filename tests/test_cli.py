@@ -98,6 +98,9 @@ class TestSkeleton:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["section"]["clusters"] == 8
+        # The section cloud is seeded on the fiber, so the slab keeps every
+        # point: 2000 per branch, 8 branches.
+        assert rep["results"]["section"]["points"] == 16000
         lines = csv.read_text().splitlines()
         assert lines[0] == "x,y"
         assert len(lines) - 1 == rep["results"]["section"]["points"]
@@ -198,8 +201,6 @@ class TestUsageErrors:
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
          "--scales", "0.1"],
         ["certify", "--model", "solenoid", "--samples", "-5"],
-        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
-         "--section", "0.0", "--thickness", "0"],
         ["certify", "--model", "solenoid", "--samples", "0"],
         ["find-matrix", "--n", "3", "--mu", "1.0", "2.0"],
         ["find-matrix", "--n", "3", "--mu", "inf"],
@@ -209,10 +210,9 @@ class TestUsageErrors:
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
          "--scales", "nan", "0.1"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
-            "skeleton-one-scale", "certify-samples-negative", "skeleton-empty-section",
-            "certify-samples-0", "find-matrix-mu-count", "find-matrix-mu-inf",
-            "find-matrix-eps-nan", "find-matrix-eps-inf", "skeleton-seeds-negative",
-            "skeleton-scales-nan"])
+            "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
+            "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
+            "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

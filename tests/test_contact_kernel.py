@@ -303,6 +303,24 @@ class TestCertifyContraction:
         else:
             assert "injectivity not checked: the map has no inverse" in cert.notes
 
+    @pytest.mark.parametrize("name", ["solenoid", "jet", "knot"])
+    def test_reduces_the_image_once(self, name, request, monkeypatch):
+        # The form and the inverse both read the image reduced into the
+        # codomain chart; the certificate reduces it once for both.
+        model = request.getfixturevalue(name)
+        before = certify_contraction(model, samples=1000)
+        calls = []
+        reduce = Chart.reduce
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return reduce(self, pts)
+
+        monkeypatch.setattr(Chart, "reduce", counted)
+        cert = certify_contraction(model, samples=1000)
+        assert cert.to_dict() == before.to_dict()
+        assert calls == [cert.sample_count]
+
 
 class TestBuiltinModels:
     def test_solenoid_image_point(self, solenoid):

@@ -26,7 +26,6 @@ from liouville_forge.torus_builder import (
     GExtension,
     LeftDomain,
     MappingTorusModel,
-    NonConstantG,
     _dedup,
     _row_keys,
     boundary_transversality_check,
@@ -124,13 +123,9 @@ class TestExtendG:
         torus = build_mapping_torus(anosov_model(cert.matrix, cert))
         assert torus.G.constant == pytest.approx(0.9624236501192069, abs=1e-10)
 
-    def test_nonconstant_rejected_in_constant_mode(self):
-        with pytest.raises(NonConstantG):
-            extend_G(variable_rate_model(), mode="constant")
-
     def test_blend_mode_extends_over_image(self):
         model = variable_rate_model()
-        g_ext = extend_G(model, mode="blend", samples=4096, rng_seed=0)
+        g_ext = extend_G(model, samples=4096, rng_seed=0)
         assert g_ext.mode == "blend"
         # held-out extension property G(phi(p)) = g(p)
         assert g_ext.meta["extension_residual"] < 1e-3
@@ -162,7 +157,8 @@ class TestDescent:
     def test_blend_mode_descends(self):
         # Seeds decorrelated so the check does not revisit the RBF nodes.
         model = variable_rate_model()
-        torus = build_mapping_torus(model, mode="blend", samples=4096, rng_seed=0)
+        torus = build_mapping_torus(model, samples=4096, rng_seed=0)
+        assert torus.G.mode == "blend"
         assert descent_check(torus, samples=400, tol=5e-3, rng_seed=11) < 5e-3
 
     def test_s_translation_homogeneity(self, solenoid):
@@ -327,8 +323,8 @@ class TestAttractorIteration:
         ]
 
         def hausdorff(a, b):
-            d1, _ = cKDTree(b).query(a)
-            d2, _ = cKDTree(a).query(b)
+            d1, _ = cKDTree(b).query(a, workers=-1)
+            d2, _ = cKDTree(a).query(b, workers=-1)
             return max(d1.max(), d2.max())
 
         h12 = hausdorff(clouds[0], clouds[1])
