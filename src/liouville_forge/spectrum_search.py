@@ -213,7 +213,8 @@ def residual_dynamics(
     )
 
 
-_SCAN_CHUNK = 65_536
+# 1 MiB float64 temporaries: at 65_536, glibc's mmap threshold raised peak RSS.
+_SCAN_CHUNK = 131_072
 
 
 def ergodic_scan(
@@ -226,30 +227,35 @@ def ergodic_scan(
     """First k1 in [k1_min, k1_max] whose orbit point x + k1*r sits within
     eps (max-norm) of the integer lattice; returns it with the nearest
     lattice point.  Nearest-integer ties round half to even.
+
+    Each chunk of k1 values is sieved one coordinate at a time: only the
+    values still within eps on every earlier coordinate are tested on the
+    next.  Each coordinate is the same float expression as in the full
+    ``(k1, m)`` orbit, so the first hit and its lattice point are bitwise
+    the ones the full orbit gives.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not math.isfinite(eps) or eps <= 0:
+        raise ValueError("eps must be positive and finite")
     if k1_min < 1:
         raise ValueError("k1_min must be at least 1")
     rv = np.asarray(r.sigma if isinstance(r, SigmaVector) else r, dtype=float)
     xv = np.asarray(x, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have equal length")
-    if xv.size == 0:
-        if k1_min > k1_max:
-            raise NotFound("empty scan range")
-        return k1_min, ()
+    if not (np.isfinite(xv).all() and np.isfinite(rv).all()):
+        raise ValueError("x and r must be finite")
     lo = k1_min
     while lo <= k1_max:
         hi = min(lo + _SCAN_CHUNK, k1_max + 1)
         ks = np.arange(lo, hi, dtype=float)
-        orbit = xv[None, :] + ks[:, None] * rv[None, :]
-        nearest = np.rint(orbit)
-        dist = np.max(np.abs(orbit - nearest), axis=1)
-        hits = np.flatnonzero(dist < eps)
-        if hits.size:
-            i = int(hits[0])
-            return lo + i, tuple(int(v) for v in nearest[i])
+        for xj, rj in zip(xv, rv):
+            c = xj + ks * rj
+            ks = ks[np.abs(c - np.rint(c)) < eps]
+            if not ks.size:
+                break
+        if ks.size:
+            k = ks[0]
+            return int(k), tuple(int(v) for v in np.rint(xv + k * rv))
         lo = hi
     raise NotFound(f"no lattice hit within eps={eps} for k1 <= {k1_max}")
 

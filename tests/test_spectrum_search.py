@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_forge.exactlin import IntMatrix, char_poly, determinant
 from liouville_forge.spectrum_search import (
+    _SCAN_CHUNK,
     ComplexTail,
     NotFound,
     SearchExhausted,
@@ -94,6 +95,62 @@ class TestXVectorAndResiduals:
         assert np.max(np.abs(lhs - rhs)) < 1e-14 * scale
 
 
+@st.composite
+def _scan_inputs(draw):
+    """(x, r, eps, k1_min, k1_max) with m = 0..9 and a range that spans up
+    to two chunk boundaries."""
+    m = draw(st.integers(0, 9))
+    eps = draw(st.sampled_from([0.0375, 0.05, 0.3, 0.5]))
+    k1_min = draw(st.integers(1, 5_000))
+    chunks = draw(st.integers(0, 2))
+    k1_max = k1_min + chunks * _SCAN_CHUNK + draw(st.integers(-2, 3_000))
+    if draw(st.booleans()) and k1_max >= k1_min:
+        # A near hit planted at the start of the last chunk, with slow rates,
+        # keeps each coordinate within eps for a run of 150 to 17,000 values
+        # of k, so the first hit often lies next to a chunk boundary, even at
+        # m = 9 and eps = 0.0375.
+        slow = st.integers(500, 4_000).map(lambda i: i * 2.0**-24)
+        r = [draw(st.sampled_from([1, -1])) * draw(slow) for _ in range(m)]
+        start = chunks * _SCAN_CHUNK + draw(st.integers(-2_000, 2_000))
+        k_plant = k1_min + min(max(start, 0), k1_max - k1_min)
+        x = [
+            draw(st.integers(-3, 3)) + draw(st.floats(-eps, eps)) - k_plant * rj
+            for rj in r
+        ]
+    else:
+        # Halves and other dyadic values put orbit points exactly on
+        # half-integers, eps = 0.5 away from the lattice.
+        value = draw(
+            st.sampled_from(
+                [
+                    st.floats(-3, 3),
+                    st.integers(-6, 6).map(lambda i: i / 2),
+                    st.integers(-64, 64).map(lambda i: i / 16),
+                    st.integers(-4_000, 4_000).map(lambda i: i * 2.0**-20),
+                ]
+            )
+        )
+        r = draw(st.lists(value, min_size=m, max_size=m))
+        x = draw(st.lists(value, min_size=m, max_size=m))
+    return tuple(x), tuple(r), eps, k1_min, k1_max
+
+
+def _full_orbit_scan(x, r, eps, k1_min, k1_max):
+    """Reference: the whole (K, m) orbit at once, first k within eps of the
+    lattice in max-norm with its nearest lattice point, or None."""
+    xv = np.asarray(x, dtype=float)
+    rv = np.asarray(r, dtype=float)
+    ks = np.arange(k1_min, k1_max + 1, dtype=float)
+    orbit = xv[None, :] + ks[:, None] * rv[None, :]
+    nearest = np.rint(orbit)
+    dist = np.max(np.abs(orbit - nearest), axis=1, initial=0.0)
+    hits = np.flatnonzero(dist < eps)
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    return k1_min + i, tuple(int(v) for v in nearest[i])
+
+
 class TestErgodicScan:
     def test_integer_lattice_immediate(self):
         k1, kp = ergodic_scan((0.0, 0.0), (1.0, 2.0), 0.5, 7, 100)
@@ -130,6 +187,54 @@ class TestErgodicScan:
             firsts_wide.append(k_wide)
             firsts_narrow.append(k_narrow)
         assert np.mean(firsts_narrow) > np.mean(firsts_wide)
+
+    @given(_scan_inputs())
+    @example(((0.5, 0.0), (1.0, 0.5), 0.5, 1, 5))  # every point exactly eps away
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_orbit_oracle(self, inputs):
+        expected = _full_orbit_scan(*inputs)
+        if expected is None:
+            with pytest.raises(NotFound):
+                ergodic_scan(*inputs)
+        else:
+            assert ergodic_scan(*inputs) == expected
+
+    @pytest.mark.parametrize("k_hit", [_SCAN_CHUNK, _SCAN_CHUNK + 1])
+    def test_hit_at_chunk_edges(self, k_hit):
+        # Exact dyadic orbit: the distance to 1 is exactly eps = 0.25 at
+        # k_hit - 1 (a miss) and 0.25 - 2**-20 at k_hit, the last index of
+        # the first chunk or the first index of the second.
+        x = (0.75 - (k_hit - 1) * 2.0**-20, 0.0)
+        r = (2.0**-20, 1.0)
+        got = ergodic_scan(x, r, 0.25, 1, 3 * _SCAN_CHUNK)
+        assert got == (k_hit, (1, k_hit))
+        assert got == _full_orbit_scan(x, r, 0.25, 1, 3 * _SCAN_CHUNK)
+
+    @pytest.mark.parametrize(
+        "k1_min, expected", [(1, (1, (2,))), (2, (2, (2,)))], ids=["1.5", "2.5"]
+    )
+    def test_half_rounds_to_even(self, k1_min, expected):
+        # 1.5 and 2.5 both sit 0.5 < eps from the lattice and round to 2.
+        assert ergodic_scan((0.5,), (1.0,), 0.6, k1_min, 10) == expected
+
+    @pytest.mark.parametrize("x, r", [((), ()), ((0.0, 0.0), (1.0, 2.0))], ids=["m0", "m2"])
+    def test_empty_range(self, x, r):
+        with pytest.raises(NotFound):
+            ergodic_scan(x, r, 0.5, 10, 9)
+
+    @pytest.mark.parametrize(
+        "x, r, eps",
+        [
+            ((0.0, 0.1), (0.3, 0.7), math.nan),
+            ((0.0, 0.1), (0.3, 0.7), math.inf),
+            ((0.0, math.nan), (0.3, 0.7), 0.05),
+            ((0.0, 0.1), (-math.inf, 0.7), 0.05),
+        ],
+        ids=["eps-nan", "eps-inf", "x-nan", "r-inf"],
+    )
+    def test_rejects_non_finite_input(self, x, r, eps):
+        with pytest.raises(ValueError, match="finite"):
+            ergodic_scan(x, r, eps, 1, 10**6)
 
 
 class TestNewtonRefine:
@@ -298,6 +403,46 @@ class TestFindMatrix:
         cert = find_matrix(req)
         _assert_certificate_valid(cert, req)
         _assert_matches_certify_matrix(cert, req)
+
+    @pytest.mark.parametrize(
+        "req, matrix_last_column, k",
+        [
+            (SpectrumRequest(n=3, mu=(1.0,)), (1, -4, 4), (4, 4)),
+            (SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7), (1, -35, 19), (19, 35)),
+            (
+                SpectrumRequest(n=4, mu=(1.5, -0.8), eps=0.25, seed=3),
+                (-1, -428, -216, 355),
+                (355, 216, -428),
+            ),
+            (
+                SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993),
+                (-1, 13469, 1753, -11118, -203, 1947),
+                (1947, 203, -11118, -1753, 13469),
+            ),
+            (
+                SpectrumRequest(
+                    n=8,
+                    mu=(1.3666, 0.7705, -0.1174, -0.4013, -1.5638, 0.4122),
+                    eps=0.5,
+                    seed=221086,
+                ),
+                (-1, -10016, -71589, 134110, 351620, -490618, -112575, 177008),
+                (177008, 112575, -490618, -351620, 134110, 71589, -10016),
+            ),
+        ],
+        ids=["cli-n3", "n3", "n4", "n6", "n8"],
+    )
+    def test_pinned_outputs(self, req, matrix_last_column, k):
+        # Recorded from the full-orbit scan; any change to which scan hit
+        # comes first changes these.
+        cert = find_matrix(req)
+        n = req.n
+        expected = [
+            [int(i == j + 1) for j in range(n - 1)] + [matrix_last_column[i]]
+            for i in range(n)
+        ]
+        assert cert.matrix.to_lists() == expected
+        assert cert.k == k
 
     def test_exhaustion(self):
         with pytest.raises(SearchExhausted):
