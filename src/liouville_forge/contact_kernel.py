@@ -37,7 +37,7 @@ __all__ = [
     "ModelError",
     "halton",
     "eval_pullback",
-    "model_pullback",
+    "pullback",
     "conformal_factor",
     "contact_check",
     "certify_contraction",
@@ -221,15 +221,6 @@ class Chart:
             r = np.maximum(r, np.abs(pts[:, i] - mid) / half)
         return r
 
-    def periodic_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Euclidean distance with wrap-around on circle factors."""
-        d = np.abs(a - b)
-        for i in self.periodic_idx:
-            period = self.coords[i].period
-            m = np.mod(d[:, i], period)
-            d[:, i] = np.minimum(m, period - m)
-        return np.linalg.norm(d, axis=1)
-
     def sample(self, n: int, rng_seed: int = 0) -> np.ndarray:
         """Low-discrepancy points covering the chart, from ``halton``."""
         if n < 1:
@@ -401,7 +392,7 @@ class ContractionCertificate:
 
 # -- pullback and conformal factor -------------------------------------------
 
-def _pullback(
+def pullback(
     map_: SmoothMap, form: OneForm, pts: np.ndarray, codomain: Chart | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jacobian-transpose of the map applied to the form at the image
@@ -427,18 +418,12 @@ def eval_pullback(
     ``OutOfChart`` when an image point leaves ``codomain``."""
 
     def pull(pts):
-        pb, q, _ = _pullback(map_, form, pts, codomain)
+        pb, q, _ = pullback(map_, form, pts, codomain)
         if codomain is not None and not codomain.contains(q).all():
             raise OutOfChart("image point leaves the chart box")
         return pb
 
     return _pointwise(pull, p)
-
-
-def model_pullback(model: ContactModel, pts: np.ndarray) -> np.ndarray:
-    if model.phi is None:
-        raise ModelError("model has no map")
-    return eval_pullback(model.phi, model.codomain_alpha, pts, model.codomain)
 
 
 def _proportionality(pb: np.ndarray, base: np.ndarray):
@@ -485,7 +470,7 @@ def model_conformal_factors(model: ContactModel, pts: np.ndarray):
     """Vectorized conformal factors with residual diagnostics (no raising)."""
     if model.phi is None:
         raise ModelError("model has no map")
-    pb, q, _ = _pullback(model.phi, model.codomain_alpha, pts, model.codomain)
+    pb, q, _ = pullback(model.phi, model.codomain_alpha, pts, model.codomain)
     f, resid, _, scale = _proportionality(pb, model.alpha(pts))
     return f, resid, scale, q
 
@@ -543,7 +528,7 @@ def certify_contraction(
     pts = np.vstack([chart.sample(samples, rng_seed), chart.probe_points()])
     notes: list[str] = []
 
-    pb, q, jac = _pullback(model.phi, model.codomain_alpha, pts, codomain)
+    pb, q, jac = pullback(model.phi, model.codomain_alpha, pts, codomain)
     finite_img = np.all(np.isfinite(q), axis=1)
     if not finite_img.all():
         notes.append(f"{int((~finite_img).sum())} samples mapped to non-finite points")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,26 +21,22 @@ from .contact_kernel import (
     ModelError,
     halton,
     model_conformal_factors,
+    pullback,
 )
 
 __all__ = [
     "GExtension",
     "MappingTorusModel",
-    "FundamentalDomainPoint",
     "SkeletonSample",
     "BoxCountResult",
     "SkeletonAnalysis",
     "DescentViolation",
-    "LeftDomain",
     "EmptySection",
     "DegenerateCloud",
     "constant_roof",
     "extend_G",
     "build_mapping_torus",
-    "descent_residuals",
     "descent_check",
-    "normalize_fundamental",
-    "in_tilt_region_P",
     "boundary_transversality_check",
     "iterate_attractor",
     "section_cloud",
@@ -60,10 +56,6 @@ class DescentViolation(Exception):
         super().__init__(f"descent residual {residual:.6e} >= tol {tol:.1e}")
         self.residual = residual
         self.tol = tol
-
-
-class LeftDomain(Exception):
-    """Fundamental-domain reduction needed a preimage that is missing or not unique."""
 
 
 class EmptySection(Exception):
@@ -102,13 +94,6 @@ class MappingTorusModel:
     def __post_init__(self) -> None:
         if self.tilt_eps < 0:
             raise ValueError("tilt_eps must be nonnegative")
-
-
-class FundamentalDomainPoint(NamedTuple):
-    """Representative with 0 <= s < G(x); unpacks as (s, x)."""
-
-    s: float
-    x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -250,116 +235,37 @@ def build_mapping_torus(
 
 # -- descent of the rescaled form ---------------------------------------------
 
-def descent_residuals(
-    model: MappingTorusModel, s: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Componentwise defect of the glued form at points (s, x).
-
-    Pulls e^s alpha back through the gluing map (s, x) -> (s + G(phi(x)),
-    phi(x)) and compares against e^s alpha itself.  The form has no ds
-    term, so dG never enters the pullback and only the d-dimensional
-    Jacobian of phi is needed.
-    """
-    x = np.atleast_2d(np.asarray(x, float))
-    s = np.asarray(s, float).reshape(-1)
-    if s.size != x.shape[0]:
-        raise ValueError("s and x must have matching lengths")
-    return _descent_defect(model, s, x, *_glued_image(model, x))
-
-
-def _glued_image(model: MappingTorusModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image points phi(x), reduced into the codomain chart, and the roof there."""
-    base = model.base
-    if base.phi is None:
-        raise ModelError("model has no map")
-    q = base.codomain.reduce(base.phi(x))
-    return q, model.G(q)
-
-
-def _descent_defect(
-    model: MappingTorusModel, s: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Residuals at (s, x) given the image q = phi(x) and the roof g = G(q)."""
-    base = model.base
-    lam = np.exp(s + g)[:, None] * base.codomain_alpha(q)
-    pulled = np.einsum("ni,nij->nj", lam, base.phi.jac(x))
-    return np.max(np.abs(pulled - np.exp(s)[:, None] * base.alpha(x)), axis=1)
-
-
 def descent_check(
     model: MappingTorusModel,
     samples: int = 1000,
     tol: float = 1e-9,
     rng_seed: int = 0,
 ) -> float:
-    """Max descent residual over sampled (s, x); raises unless it is below
-    tolerance (so a NaN residual or tolerance fails)."""
+    """Max descent residual |e^(s+G(phi x)) phi^*alpha - e^s alpha| over
+    sampled (s, x); raises unless it is below tolerance (so a NaN residual or
+    tolerance fails).  The form e^s alpha has no ds term, so dG never enters
+    its pullback through the gluing map and only the Jacobian of phi does."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    chart = model.base.chart
+    base = model.base
+    if base.phi is None:
+        raise ModelError("model has no map")
+    chart = base.chart
     u = halton(samples, chart.dim + 1, rng_seed)
     lo, hi = chart.lows(), chart.highs()
     x = lo + u[:, : chart.dim] * (hi - lo)
-    q, g = _glued_image(model, x)
+    pb, q, _ = pullback(base.phi, base.codomain_alpha, x, base.codomain)
+    g = model.G(q)
     s_ref = model.G.constant if model.G.constant is not None else float(np.mean(g))
     s = u[:, chart.dim] * s_ref
-    residual = float(np.max(_descent_defect(model, s, x, q, g)))
+    defect = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
+    residual = float(np.max(np.abs(defect)))
     if not residual < tol:
         raise DescentViolation(residual, tol)
     return residual
 
 
-# -- fundamental domain and boundary ------------------------------------------
-
-def normalize_fundamental(
-    s: float, x: np.ndarray, model: MappingTorusModel
-) -> FundamentalDomainPoint:
-    """Reduce (s, x) into the fundamental domain 0 <= s < G(x).
-
-    Climbing past the roof over x steps back through the map's inverse
-    (the roof over a point in the image is glued to the floor over its
-    preimage); descending below the floor applies the map forward.
-    """
-    base = model.base
-    if not base.is_self_map or base.phi is None:
-        raise LeftDomain("reduction needs a self-map on a single chart")
-    pt = base.chart.reduce(np.asarray(x, float).reshape(1, -1))[0]
-    s = float(s)
-    for _ in range(100_000):
-        g_here = float(model.G(pt[None, :])[0])
-        if 0.0 <= s < g_here:
-            return FundamentalDomainPoint(s, pt)
-        if s < 0.0:
-            nxt = base.chart.reduce(base.phi(pt[None, :]))[0]
-            s += float(model.G(nxt[None, :])[0])
-            pt = nxt
-        else:
-            if base.phi.inverse is None:
-                raise LeftDomain("no inverse available for upward reduction")
-            pre = base.phi.inverse(pt[None, :])[0]
-            pre = pre[base.chart.contains(pre)]
-            if len(pre) != 1:
-                raise LeftDomain(f"{len(pre)} in-chart preimages, not exactly one")
-            s -= g_here
-            pt = base.chart.reduce(pre)[0]
-    raise LeftDomain("reduction failed to terminate")
-
-
-def in_tilt_region_P(s: float, x: np.ndarray, model: MappingTorusModel) -> bool:
-    """Membership in the removed collar wedge -eps*s/G < tau <= 0.
-
-    tau is the normalized sup-radius of the interval factors minus 1, so
-    the collar is the shell of width ``tilt_eps`` inside the boundary.
-    Points deeper than the collar are trivially outside.
-    """
-    eps = model.tilt_eps
-    pt = np.asarray(x, float).reshape(1, -1)
-    tau = float(np.minimum(model.base.chart.normalized_radius(pt), 1.0)[0]) - 1.0
-    if tau < -eps:
-        return False
-    g_here = float(model.G(pt)[0])
-    return (tau > -eps * float(s) / g_here) and (tau <= 0.0)
-
+# -- boundary -----------------------------------------------------------------
 
 def boundary_transversality_check(
     model: MappingTorusModel, samples: int = 256, rng_seed: int = 0
@@ -516,16 +422,22 @@ def cross_section(
     return sample.points[mask][:, chart.interval_idx]
 
 
+def _cloud(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float (N, d) array with N >= 1, else ``ValueError``."""
+    pts = np.asarray(points, float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError(f"points must be a non-empty (N, d) array, got shape {pts.shape}")
+    return pts
+
+
 def count_clusters(points: np.ndarray, gap: float) -> int:
     """Single-linkage component count at the given gap threshold."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    pts = np.atleast_2d(np.asarray(points, float))
+    pts = _cloud(points)
     n = len(pts)
-    if n == 0:
-        raise ValueError("empty point set")
     pairs = cKDTree(pts).query_pairs(r=gap, output_type="ndarray")
     if len(pairs) == 0:
         return n
@@ -553,9 +465,7 @@ def box_counting_dimension(
     origin: Sequence[float] | None = None,
 ) -> BoxCountResult:
     """Occupied-box counts on origin-anchored grids and the log-log slope."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    if len(pts) == 0:
-        raise ValueError("empty cloud")
+    pts = _cloud(points)
     scales = sorted((float(s) for s in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
@@ -609,8 +519,9 @@ def skeleton_analysis(
 
     The suspension direction contributes exactly 1.  Models with a single
     circle factor are measured through the fiber cross-section (the circle
-    direction contributes another 1); otherwise the full attractor cloud is
-    box-counted.
+    direction contributes another 1), which needs at least one seed per
+    branch, ``seeds >= angle_multiplier**depth``; otherwise the full
+    attractor cloud is box-counted.
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
@@ -619,6 +530,8 @@ def skeleton_analysis(
     if solenoid_like:
         mult = int(model.params["angle_multiplier"])
         branches = max(1, mult**depth)
+        if seeds < branches:
+            raise ValueError("the section route needs seeds >= angle_multiplier**depth")
         per_branch = max(8, seeds // branches)
         sample = section_cloud(
             model, depth, per_branch, theta0=theta0, rng_seed=rng_seed, threads=threads
@@ -673,7 +586,7 @@ def export_cloud_csv(
 ) -> int:
     """Write a cloud as CSV (one point per row); uniform stride subsampling
     keeps the file at or below ``max_rows`` rows.  Returns rows written."""
-    pts = np.atleast_2d(np.asarray(points, float))
+    pts = _cloud(points)
     if pts.shape[1] != len(names):
         raise ValueError("column names do not match point dimension")
     if len(pts) > max_rows:

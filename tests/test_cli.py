@@ -209,10 +209,13 @@ class TestUsageErrors:
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "-3"],
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
          "--scales", "nan", "0.1"],
+        # 2**40 section branches from 10 seeds; rejected before allocating.
+        ["skeleton", "--model", "solenoid", "--depth", "40", "--seeds", "10"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
-            "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan"])
+            "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan",
+            "skeleton-seeds-below-branches"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

@@ -24,7 +24,6 @@ from liouville_forge.torus_builder import (
     DescentViolation,
     EmptySection,
     GExtension,
-    LeftDomain,
     MappingTorusModel,
     _dedup,
     _row_keys,
@@ -34,12 +33,9 @@ from liouville_forge.torus_builder import (
     count_clusters,
     cross_section,
     descent_check,
-    descent_residuals,
     export_cloud_csv,
     extend_G,
-    in_tilt_region_P,
     iterate_attractor,
-    normalize_fundamental,
     section_cloud,
     skeleton_analysis,
     suggested_section_gap,
@@ -161,121 +157,31 @@ class TestDescent:
         assert torus.G.mode == "blend"
         assert descent_check(torus, samples=400, tol=5e-3, rng_seed=11) < 5e-3
 
-    def test_s_translation_homogeneity(self, solenoid):
-        # residual(s, x) = e^s * residual(0, x), exactly in the algebra;
-        # checked on a wrong-roof model so residuals are far above noise.
-        g9 = math.log(9.0)
-        bad = MappingTorusModel(
-            solenoid,
-            GExtension(lambda p: np.full(np.atleast_2d(p).shape[0], g9), "forced", g9),
-        )
-        x = solenoid.chart.sample(50, rng_seed=2)
-        s = np.linspace(0.1, 2.0, 50)
-        r_s = descent_residuals(bad, s, x)
-        r_0 = descent_residuals(bad, np.zeros(50), x)
-        assert np.max(np.abs(r_s - np.exp(s) * r_0) / (np.exp(s) * r_0)) < 1e-12
-
     def test_transverse_knot_descends(self):
         torus = build_mapping_torus(builtin_model("transverse_knot"))
         assert descent_check(torus, samples=500) < 1e-9
 
-    def test_residuals_evaluate_the_map_once(self):
-        # The transverse-knot roof is not constant; the form e^s alpha has no
-        # ds term, so its gradient is never needed.
-        torus = build_mapping_torus(builtin_model("transverse_knot"))
-        calls = []
-        phi = torus.base.phi
-
-        def forward(pts):
-            calls.append(len(pts))
-            return phi.forward(pts)
-
-        counted = replace(torus, base=replace(torus.base, phi=replace(phi, forward=forward)))
-        x = torus.base.chart.sample(64, rng_seed=0)
-        descent_residuals(counted, np.zeros(64), x)
-        assert calls == [64]
-
     def test_check_evaluates_the_map_once(self):
         # The non-constant roof needs G(phi(x)) for the mean roof height; the
-        # residuals reuse that image instead of mapping the points again.
+        # residuals reuse that image and its one Jacobian instead of mapping
+        # or differentiating the points again.
         torus = build_mapping_torus(builtin_model("transverse_knot"))
-        calls = []
+        calls, jac_calls = [], []
         phi = torus.base.phi
 
         def forward(pts):
             calls.append(len(pts))
             return phi.forward(pts)
 
-        counted = replace(torus, base=replace(torus.base, phi=replace(phi, forward=forward)))
+        def jacobian(pts):
+            jac_calls.append(len(pts))
+            return phi.jacobian(pts)
+
+        counted_phi = replace(phi, forward=forward, jacobian=jacobian)
+        counted = replace(torus, base=replace(torus.base, phi=counted_phi))
         assert descent_check(counted, samples=200) == descent_check(torus, samples=200)
         assert calls == [200]
-
-
-class TestNormalizeFundamental:
-    def test_identity_in_domain(self, solenoid_torus):
-        x = np.array([0.7, 0.2, -0.1])
-        s, y = normalize_fundamental(0.3, x, solenoid_torus)
-        assert s == pytest.approx(0.3)
-        assert np.allclose(y, x)
-
-    def test_two_downward_reductions(self, solenoid, solenoid_torus):
-        x0 = np.array([1.3, 0.2, -0.4])
-        s, y = normalize_fundamental(-2 * LN10 + 0.1, x0, solenoid_torus)
-        x2 = x0[None, :]
-        for _ in range(2):
-            x2 = solenoid.chart.reduce(np.atleast_2d(solenoid.phi(x2)))
-        assert s == pytest.approx(0.1, abs=1e-12)
-        assert np.allclose(y, x2[0], atol=1e-12)
-
-    def test_two_upward_reductions(self, solenoid, solenoid_torus):
-        x0 = np.array([1.3, 0.2, -0.4])
-        x2 = x0[None, :]
-        for _ in range(2):
-            x2 = solenoid.chart.reduce(np.atleast_2d(solenoid.phi(x2)))
-        s, y = normalize_fundamental(2 * LN10 + 0.1, x2[0], solenoid_torus)
-        assert s == pytest.approx(0.1, abs=1e-12)
-        assert np.allclose(y, solenoid.chart.reduce(x0[None, :])[0], atol=1e-10)
-
-    def test_gluing_identity(self, solenoid, solenoid_torus):
-        # (s, x) and (s + G(phi x), phi x) are the same point of the torus.
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            x = np.array([rng.uniform(0, 2 * math.pi), rng.uniform(-1, 1) * 0.9,
-                          rng.uniform(-1, 1) * 0.9])
-            s = rng.uniform(0, LN10 * 0.99)
-            fx = solenoid.chart.reduce(np.atleast_2d(solenoid.phi(x[None, :])))[0]
-            s2, y2 = normalize_fundamental(s + LN10, fx, solenoid_torus)
-            assert s2 == pytest.approx(s, abs=1e-12)
-            assert np.allclose(y2, solenoid.chart.reduce(x[None, :])[0], atol=1e-10)
-
-    def test_idempotent(self, solenoid, solenoid_torus):
-        x2 = np.array([0.4, 0.1, 0.1])[None, :]
-        for _ in range(2):
-            x2 = solenoid.chart.reduce(np.atleast_2d(solenoid.phi(x2)))
-        s, y = normalize_fundamental(5.0, x2[0], solenoid_torus)
-        assert 0.0 <= s < LN10
-        s2, y2 = normalize_fundamental(s, y, solenoid_torus)
-        assert s2 == pytest.approx(s) and np.allclose(y, y2)
-
-    def test_left_domain(self):
-        # climbing requires a preimage; jet-space points near the boundary
-        # leave the chart under the inverse.
-        jet = builtin_model("jet_space")
-        torus = build_mapping_torus(jet)
-        with pytest.raises(LeftDomain):
-            normalize_fundamental(math.log(2.0) + 0.05, np.array([0.9, 0.1, 0.9]), torus)
-
-
-class TestTiltRegion:
-    def test_s_zero_excluded(self, solenoid_torus):
-        assert not in_tilt_region_P(0.0, np.array([0.3, 0.99, 0.0]), solenoid_torus)
-
-    def test_roof_midcollar_included(self, solenoid_torus):
-        # tau = -eps/2 at s = G: -eps < -eps/2 <= 0.
-        assert in_tilt_region_P(LN10, np.array([0.3, 0.95, 0.0]), solenoid_torus)
-
-    def test_outside_collar_excluded(self, solenoid_torus):
-        assert not in_tilt_region_P(LN10, np.array([0.3, 0.5, 0.0]), solenoid_torus)
+        assert jac_calls == [200]
 
 
 class TestTransversality:
@@ -402,6 +308,34 @@ class TestBoxCounting:
     def test_needs_two_scales(self):
         with pytest.raises(ValueError):
             box_counting_dimension(np.random.rand(10, 2), [0.5])
+
+
+_BAD_CLOUDS = {
+    "one-d": np.linspace(0.0, 1.0, 1000),
+    "empty-list": [],
+    "no-rows": np.empty((0, 2)),
+    "three-d": np.zeros((4, 2, 2)),
+}
+
+
+class TestPointArrayContract:
+    # Clouds are (N, d) with N >= 1; a 1-D array is not read as one point.
+    @pytest.mark.parametrize("pts", _BAD_CLOUDS.values(), ids=_BAD_CLOUDS.keys())
+    def test_box_counting_rejects(self, pts):
+        with pytest.raises(ValueError):
+            box_counting_dimension(pts, [0.5, 0.25])
+
+    @pytest.mark.parametrize("pts", _BAD_CLOUDS.values(), ids=_BAD_CLOUDS.keys())
+    def test_count_clusters_rejects(self, pts):
+        with pytest.raises(ValueError):
+            count_clusters(pts, 0.1)
+
+    @pytest.mark.parametrize("pts", _BAD_CLOUDS.values(), ids=_BAD_CLOUDS.keys())
+    def test_csv_export_rejects(self, pts, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            export_cloud_csv(pts, ["a", "b"], str(path))
+        assert not path.exists()
 
 
 class TestSkeletonDimension:
@@ -551,6 +485,14 @@ class TestPackedKeys:
 
 
 class TestSectionClusters:
+    @pytest.mark.parametrize("depth", [3, 40])
+    def test_needs_a_seed_per_branch(self, solenoid, depth):
+        with pytest.raises(ValueError):
+            skeleton_analysis(solenoid, depth, 2**depth - 1)
+
+    def test_one_seed_per_branch_suffices(self, solenoid):
+        assert skeleton_analysis(solenoid, 3, 8).sample.points.shape == (64, 3)
+
     def test_thin_branches_unclaimed(self, solenoid):
         # 64 seeds per branch cannot link a depth-8 branch at the gap.
         assert skeleton_analysis(solenoid, 8, 16_384).section_clusters is None
