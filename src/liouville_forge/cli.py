@@ -40,10 +40,15 @@ from .torus_builder import (
     skeleton_analysis,
 )
 
+__all__ = ["build_parser", "main", "resolve_threads"]
+
 SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
-# Inputs the library rejects; each ends the command with exit code 2.
-_USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, EmptySection)
+# Inputs the library rejects, and sizes too large to allocate; each ends the
+# command with exit code 2.
+_USAGE_ERRORS = (
+    ValueError, UnknownModel, ModelError, EigenFailure, EmptySection, MemoryError
+)
 # Half-width of the slab that --section cuts from the section cloud, whose
 # points are seeded on the fiber itself.
 SECTION_THICKNESS = 1e-6

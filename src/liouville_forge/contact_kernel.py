@@ -7,6 +7,12 @@ axioms on sampled points: image interiority, injectivity (a nonsingular
 Jacobian, and exactly one in-chart preimage of each image through the map's
 own inverse), and conformal rescaling of the contact form by a factor
 strictly inside (0, 1).
+
+Every entry point takes a batch of points as an ``(N, d)`` array and
+returns ``(N, d)`` forms or images, ``(N, d, d)`` Jacobians and ``(N,)``
+scalars.  ``pullback`` is the one path from a map and a form to the pulled
+back form; ``model_conformal_factors`` and ``certify_contraction`` read the
+conformal factor off it.
 """
 
 from __future__ import annotations
@@ -29,16 +35,11 @@ __all__ = [
     "SmoothMap",
     "ContactModel",
     "ContractionCertificate",
-    "OutOfChart",
-    "NotConformal",
-    "DegenerateForm",
     "UnknownModel",
     "EigenFailure",
     "ModelError",
     "halton",
-    "eval_pullback",
     "pullback",
-    "conformal_factor",
     "contact_check",
     "certify_contraction",
     "builtin_model",
@@ -53,18 +54,6 @@ FD_STEP = 1e-5
 CONTAINS_TOL = 1e-12
 # Distance every image point must keep from the codomain's interval boundaries.
 INTERIOR_MARGIN = 1e-3
-
-
-class OutOfChart(Exception):
-    """A mapped point left the chart box along a non-periodic coordinate."""
-
-
-class NotConformal(Exception):
-    """Pullback is not proportional to the reference form at the point."""
-
-
-class DegenerateForm(Exception):
-    """The reference form vanishes at the point (never for a contact form)."""
 
 
 class UnknownModel(Exception):
@@ -261,31 +250,19 @@ class Chart:
         return np.column_stack(cols)
 
 
-def _pointwise(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
-    """Apply the batched ``fn`` to ``pts``; a single (d,) point runs as a
-    batch of one and its result comes back without the batch axis."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        return fn(pts[None, :])[0]
-    return fn(pts)
-
-
 @dataclass(frozen=True)
 class OneForm:
     """Coefficient evaluator of a 1-form in chart coordinates.
 
     The evaluator receives (N, dim) float points and returns (N, dim)
-    coefficients.  Calling the form also accepts a single (dim,) point.
+    coefficients.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        # The reshape keeps (N, dim) for evaluators that squeeze a batch of one.
-        return _pointwise(
-            lambda p: np.asarray(self.evaluator(p), dtype=float).reshape(p.shape), pts
-        )
+        return np.asarray(self.evaluator(np.asarray(pts, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -295,8 +272,7 @@ class SmoothMap:
     ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points.
     ``forward`` returns (N, dim) points and ``jacobian`` (N, dim, dim)
     Jacobians; ``inverse`` returns all B branches of the inverse as an
-    (N, B, dim) array, in or out of the chart.  Calling the map or its
-    ``jac`` also accepts a single (dim,) point.
+    (N, B, dim) array, in or out of the chart.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -304,12 +280,13 @@ class SmoothMap:
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return _pointwise(lambda p: np.asarray(self.forward(p), dtype=float), pts)
+        return np.asarray(self.forward(np.asarray(pts, dtype=float)), dtype=float)
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
         if self.jacobian is None:
-            return _pointwise(lambda p: fd_jacobian(self.forward, p, FD_STEP), pts)
-        return _pointwise(lambda p: np.asarray(self.jacobian(p), dtype=float), pts)
+            return fd_jacobian(self.forward, pts, FD_STEP)
+        return np.asarray(self.jacobian(pts), dtype=float)
 
 
 def fd_jacobian(fn: Callable, pts: np.ndarray, h: float) -> np.ndarray:
@@ -408,62 +385,16 @@ def pullback(
     return pb, q, jac
 
 
-def eval_pullback(
-    map_: SmoothMap,
-    form: OneForm,
-    p: np.ndarray,
-    codomain: Chart | None = None,
-) -> np.ndarray:
-    """Pull a 1-form back through a map at one point or a batch; raises
-    ``OutOfChart`` when an image point leaves ``codomain``."""
-
-    def pull(pts):
-        pb, q, _ = pullback(map_, form, pts, codomain)
-        if codomain is not None and not codomain.contains(q).all():
-            raise OutOfChart("image point leaves the chart box")
-        return pb
-
-    return _pointwise(pull, p)
-
-
 def _proportionality(pb: np.ndarray, base: np.ndarray):
-    """Least-squares factor f with pb ~ f * base, the residual, the norm of
-    base, and the larger of the two norms (floored) as residual scale."""
+    """Least-squares factor f with pb ~ f * base, the residual, and the
+    larger of the two norms (floored) as residual scale."""
     denom = np.einsum("ni,ni->n", base, base)
     num = np.einsum("ni,ni->n", pb, base)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = num / denom
         resid = np.linalg.norm(pb - f[:, None] * base, axis=1)
-    nbase = np.sqrt(denom)
-    scale = np.maximum(np.maximum(np.linalg.norm(pb, axis=1), nbase), 1e-300)
-    return f, resid, nbase, scale
-
-
-def conformal_factor(
-    map_: SmoothMap,
-    form: OneForm,
-    p: np.ndarray,
-    tol: float = 1e-8,
-    target_form: OneForm | None = None,
-    codomain: Chart | None = None,
-) -> float | np.ndarray:
-    """Least-squares scalar f with pullback = f * form(p), certified by a
-    residual below tol times the participating norms.  A single point gives
-    a float, a batch an (N,) array; any failing point raises."""
-
-    def factor(pts):
-        pb = eval_pullback(map_, target_form or form, pts, codomain)
-        f, resid, nbase, scale = _proportionality(pb, form(pts))
-        if np.any(nbase <= tol):
-            raise DegenerateForm("reference form vanishes at the point")
-        bad = resid > tol * scale
-        if bad.any():
-            raise NotConformal(
-                f"pullback deviates from proportionality by {resid[bad][0]:.3e}"
-            )
-        return f
-
-    return _pointwise(factor, p)
+    scale = np.maximum(np.maximum(np.linalg.norm(pb, axis=1), np.sqrt(denom)), 1e-300)
+    return f, resid, scale
 
 
 def model_conformal_factors(model: ContactModel, pts: np.ndarray):
@@ -471,7 +402,7 @@ def model_conformal_factors(model: ContactModel, pts: np.ndarray):
     if model.phi is None:
         raise ModelError("model has no map")
     pb, q, _ = pullback(model.phi, model.codomain_alpha, pts, model.codomain)
-    f, resid, _, scale = _proportionality(pb, model.alpha(pts))
+    f, resid, scale = _proportionality(pb, model.alpha(pts))
     return f, resid, scale, q
 
 
@@ -491,24 +422,21 @@ def _pfaffian(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def contact_check(form: OneForm, p: np.ndarray) -> float | np.ndarray:
-    """Top-form coefficient of alpha wedge (d alpha)^m, dim = 2m + 1, at one
-    point (a float) or a batch (an (N,) array).
+def contact_check(form: OneForm, pts: np.ndarray) -> np.ndarray:
+    """Top-form coefficient of alpha wedge (d alpha)^m, dim = 2m + 1, at
+    (N, d) points, as an (N,) array.
 
     d alpha comes from central finite differences; the coefficient is
     m! Pf([[0, alpha], [-alpha^T, d alpha]]).
     """
-
-    def top(pts):
-        jac = fd_jacobian(form, pts, FD_STEP)
-        n, d = pts.shape
-        bordered = np.zeros((n, d + 1, d + 1))
-        bordered[:, 0, 1:] = form(pts)
-        bordered[:, 1:, 0] = -bordered[:, 0, 1:]
-        bordered[:, 1:, 1:] = np.swapaxes(jac, 1, 2) - jac
-        return math.factorial((d - 1) // 2) * _pfaffian(bordered)
-
-    return _pointwise(top, p)
+    pts = np.asarray(pts, dtype=float)
+    jac = fd_jacobian(form, pts, FD_STEP)
+    n, d = pts.shape
+    bordered = np.zeros((n, d + 1, d + 1))
+    bordered[:, 0, 1:] = form(pts)
+    bordered[:, 1:, 0] = -bordered[:, 0, 1:]
+    bordered[:, 1:, 1:] = np.swapaxes(jac, 1, 2) - jac
+    return math.factorial((d - 1) // 2) * _pfaffian(bordered)
 
 
 # -- contraction certification ------------------------------------------------
@@ -559,7 +487,7 @@ def certify_contraction(
         "pass": bool(finite_det.all() and det_min >= tol and collisions == 0),
     }
 
-    f, resid, _, scale = _proportionality(pb, model.alpha(pts))
+    f, resid, scale = _proportionality(pb, model.alpha(pts))
     ok = np.isfinite(f) & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
     valid = np.isfinite(f) & (f > 0.0)
     g = -np.log(f[valid]) if valid.any() else np.array([])

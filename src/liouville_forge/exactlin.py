@@ -330,13 +330,12 @@ def refine_root(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fa = _poly_eval([Fraction(c) for c in P.coeffs], a)
+    fa = P(a)
     if a == b:
         if fa == 0:
             return (a, a)
         raise NotIsolating("degenerate interval without a root")
-    p = [Fraction(c) for c in P.coeffs]
-    fb = _poly_eval(p, b)
+    fb = P(b)
     if fa == 0:
         return (a, a)
     if fb == 0:
@@ -345,7 +344,7 @@ def refine_root(
         raise NotIsolating("no sign change across the interval")
     while b - a >= tol:
         m = (a + b) / 2
-        fm = _poly_eval(p, m)
+        fm = P(m)
         if fm == 0:
             return (m, m)
         if _sign(fm) == _sign(fa):

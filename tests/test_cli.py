@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,29 @@ class TestUsageErrors:
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--model", "solenoid", "--samples", "10000000000000"],
+        ["descent", "--model", "solenoid", "--samples", "10000000000000"],
+        ["skeleton", "--model", "jet-space", "--depth", "1", "--seeds", "10000000000000"],
+    ], ids=["certify-samples", "descent-samples", "skeleton-seeds"])
+    def test_count_too_large_to_allocate_exits_2(self, argv, tmp_path):
+        # Hundreds of TiB of points; the 3 GB address-space cap makes the
+        # allocation fail at once on any machine.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        src = str(Path(liouville_forge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouville_forge.cli", *argv, "--out", "r.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_skeleton_rejects_knot_flags(self, tmp_path, capsys):
         # skeleton cannot build the transverse knot, so it has no knot flags.

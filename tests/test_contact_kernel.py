@@ -8,19 +8,16 @@ from scipy.stats import qmc
 from liouville_forge.contact_kernel import (
     Chart,
     Coord,
-    DegenerateForm,
-    NotConformal,
     OneForm,
     SmoothMap,
     UnknownModel,
     anosov_model,
     builtin_model,
     certify_contraction,
-    conformal_factor,
     contact_check,
-    eval_pullback,
     fd_jacobian,
     halton,
+    model_conformal_factors,
     pullback,
 )
 from liouville_forge.exactlin import IntMatrix
@@ -65,28 +62,10 @@ def anosov4():
 @pytest.mark.parametrize(
     "name", ["solenoid", "jet", "knot", "cat_model", "anosov3", "anosov4"]
 )
-def test_batch_matches_stacked_single_points(name, request):
+def test_contact_form_in_every_dimension(name, request):
+    # The form is contact in every dimension, up to d = 7 for anosov n = 4.
     model = request.getfixturevalue(name)
     pts = model.chart.sample(64, rng_seed=11)
-    target, codomain = model.codomain_alpha, model.codomain
-    # Matrix products may round differently for one row than for many; the
-    # finite-difference d(alpha) in contact_check scales that by 1/FD_STEP.
-    calls = [
-        (model.alpha, 1e-12),
-        (model.phi, 1e-12),
-        (model.phi.jac, 1e-12),
-        (lambda p: eval_pullback(model.phi, target, p, codomain), 1e-12),
-        (lambda p: conformal_factor(
-            model.phi, model.alpha, p, target_form=target, codomain=codomain
-        ), 1e-12),
-        (lambda p: contact_check(model.alpha, p), 1e-9),
-    ]
-    for fn, atol in calls:
-        batched = fn(pts)
-        stacked = np.stack([fn(p) for p in pts])
-        assert batched.shape == stacked.shape
-        np.testing.assert_allclose(batched, stacked, rtol=0, atol=atol)
-    # The form is contact in every dimension, up to d = 7 for anosov n = 4.
     assert np.all(np.abs(contact_check(model.alpha, pts)) > 1e-3)
 
 
@@ -109,11 +88,10 @@ def test_inverse_round_trip(name, request):
 class TestEvalPullback:
     def test_identity_map(self, solenoid):
         ident = SmoothMap(lambda p: p, lambda p: np.broadcast_to(
-            np.eye(3), (np.atleast_2d(p).shape[0], 3, 3)).copy())
-        p = np.array([0.7, 0.2, -0.3])
-        assert eval_pullback(ident, solenoid.alpha, p) == pytest.approx(
-            solenoid.alpha(p)
-        )
+            np.eye(3), (len(p), 3, 3)).copy())
+        pts = solenoid.chart.sample(20, rng_seed=2)
+        pb = pullback(ident, solenoid.alpha, pts, None)[0]
+        np.testing.assert_allclose(pb, solenoid.alpha(pts), rtol=1e-12, atol=0)
 
     def test_solenoid_tenth(self, solenoid):
         pts = solenoid.chart.sample(50, rng_seed=1)
@@ -122,123 +100,92 @@ class TestEvalPullback:
         assert np.max(np.abs(pb - 0.1 * base)) < 1e-12
 
     def test_jet_half(self, jet):
-        p = np.array([0.4, 0.3, -0.6])
-        assert eval_pullback(jet.phi, jet.alpha, p) == pytest.approx(
-            0.5 * jet.alpha(p), abs=1e-14
-        )
+        pts = jet.chart.sample(20, rng_seed=2)
+        pb = pullback(jet.phi, jet.alpha, pts, None)[0]
+        assert np.max(np.abs(pb - 0.5 * jet.alpha(pts))) < 1e-14
 
     def test_linearity(self, solenoid):
         w1 = solenoid.alpha
         w2 = OneForm(lambda p: np.stack(
-            [np.atleast_2d(p)[:, 1], np.cos(np.atleast_2d(p)[:, 0]),
-             np.atleast_2d(p)[:, 2] ** 2], axis=-1).squeeze())
+            [p[:, 1], np.cos(p[:, 0]), p[:, 2] ** 2], axis=-1))
         combo = OneForm(lambda p: 2.5 * w1(p) + w2(p))
-        p = np.array([1.1, 0.4, -0.2])
-        lhs = eval_pullback(solenoid.phi, combo, p)
-        rhs = 2.5 * eval_pullback(solenoid.phi, w1, p) + eval_pullback(
-            solenoid.phi, w2, p
-        )
+        pts = solenoid.chart.sample(20, rng_seed=2)
+        lhs = pullback(solenoid.phi, combo, pts, None)[0]
+        rhs = (2.5 * pullback(solenoid.phi, w1, pts, None)[0]
+               + pullback(solenoid.phi, w2, pts, None)[0])
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_functoriality_on_composition(self, solenoid):
         phi = solenoid.phi
         comp = SmoothMap(lambda p: phi(phi(p)))  # FD Jacobian
-        p = np.array([0.9, 0.1, 0.2])
-        lhs = eval_pullback(comp, solenoid.alpha, p)
-        inner = OneForm(lambda q: eval_pullback(phi, solenoid.alpha, q))
-        rhs = eval_pullback(SmoothMap(lambda q: phi.forward(q)), inner, p)
+        pts = solenoid.chart.sample(20, rng_seed=2)
+        lhs = pullback(comp, solenoid.alpha, pts, None)[0]
+        inner = OneForm(lambda q: pullback(phi, solenoid.alpha, q, None)[0])
+        rhs = pullback(SmoothMap(phi.forward), inner, pts, None)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-8
         # and both equal the known square factor
-        assert np.max(np.abs(lhs - 0.01 * solenoid.alpha(p))) < 1e-8
+        assert np.max(np.abs(lhs - 0.01 * solenoid.alpha(pts))) < 1e-8
 
 
 class TestConformalFactor:
     def test_solenoid_constant(self, solenoid):
-        pts = solenoid.chart.sample(100, rng_seed=3)
-        for p in pts:
-            assert conformal_factor(solenoid.phi, solenoid.alpha, p) == pytest.approx(
-                0.1, abs=1e-9
-            )
+        f = model_conformal_factors(solenoid, solenoid.chart.sample(100, rng_seed=3))[0]
+        assert np.max(np.abs(f - 0.1)) < 1e-9
 
     def test_knot_at_y_zero(self, knot):
-        p = np.array([0.3, -0.4, 0.0])
-        f = conformal_factor(
-            knot.phi, knot.alpha, p,
-            target_form=knot.codomain_alpha, codomain=knot.codomain,
-        )
-        assert f == pytest.approx(knot.params["delta"], abs=1e-14)
+        f = model_conformal_factors(knot, np.array([[0.3, -0.4, 0.0]]))[0]
+        assert f[0] == pytest.approx(knot.params["delta"], abs=1e-14)
 
     def test_knot_pointwise_formula(self, knot):
         c, d = knot.params["c"], knot.params["delta"]
         pts = knot.chart.sample(200, rng_seed=4)
-        for p in pts:
-            f = conformal_factor(
-                knot.phi, knot.alpha, p,
-                target_form=knot.codomain_alpha, codomain=knot.codomain,
-            )
-            assert f == pytest.approx(c * d / (c - d * p[2]), abs=1e-9)
+        f = model_conformal_factors(knot, pts)[0]
+        assert np.max(np.abs(f - c * d / (c - d * pts[:, 2]))) < 1e-9
 
     def test_cat_map_factor(self, cat_model):
-        pts = cat_model.chart.sample(100, rng_seed=5)
-        for p in pts:
-            assert conformal_factor(
-                cat_model.phi, cat_model.alpha, p
-            ) == pytest.approx(LAMBDA_SMALL, abs=1e-8)
+        f = model_conformal_factors(cat_model, cat_model.chart.sample(100, rng_seed=5))[0]
+        assert np.max(np.abs(f - LAMBDA_SMALL)) < 1e-8
 
     def test_not_conformal(self, solenoid):
-        squash = SmoothMap(lambda p: np.atleast_2d(p) * np.array([1.0, 0.5, 1.0]))
-        with pytest.raises(NotConformal):
-            conformal_factor(squash, solenoid.alpha, np.array([0.3, 0.2, 0.5]))
+        # Halving x alone sends dx + y dtheta to dx/2 + y dtheta, which is
+        # not a multiple of the form wherever y != 0.
+        squash = SmoothMap(lambda p: p * np.array([1.0, 0.5, 1.0]))
+        cert = certify_contraction(replace(solenoid, phi=squash), samples=1000)
+        assert not cert.d3["pass"]
+        assert cert.d3["max_residual"] > 0.1
 
     def test_degenerate_form(self, solenoid):
-        zero = OneForm(lambda p: np.zeros_like(np.asarray(p, float)))
-        with pytest.raises(DegenerateForm):
-            conformal_factor(solenoid.phi, zero, np.array([0.3, 0.2, 0.5]))
-
-    def test_out_of_chart(self):
-        from liouville_forge.contact_kernel import OutOfChart
-
-        bad = builtin_model("transverse_knot", {"c": 0.1, "delta": 0.1})
-        # y close to 1 blows the last coordinate past the target box
-        with pytest.raises(OutOfChart):
-            eval_pullback(
-                bad.phi, bad.codomain_alpha, np.array([0.0, 0.0, 0.999]),
-                codomain=bad.codomain,
-            )
+        # A vanishing form has no conformal factor anywhere.
+        zero = OneForm(lambda p: np.zeros_like(p))
+        cert = certify_contraction(replace(solenoid, alpha=zero), samples=1000)
+        assert not cert.d3["pass"]
+        assert math.isnan(cert.d3["factor_min"])
 
 
 class TestContactCheck:
     def test_solenoid_orientation(self, solenoid):
-        for p in solenoid.chart.sample(20, rng_seed=6):
-            assert contact_check(solenoid.alpha, p) == pytest.approx(1.0, abs=1e-7)
+        vals = contact_check(solenoid.alpha, solenoid.chart.sample(20, rng_seed=6))
+        assert vals.shape == (20,)
+        assert np.max(np.abs(vals - 1.0)) < 1e-7
 
     def test_non_contact_form(self):
-        dz = OneForm(
-            lambda p: np.broadcast_to(
-                np.array([1.0, 0.0, 0.0]), np.atleast_2d(p).shape
-            ).copy().squeeze()
-        )
-        assert contact_check(dz, np.array([0.1, 0.2, 0.3])) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        dz = OneForm(lambda p: np.broadcast_to(np.array([1.0, 0.0, 0.0]), p.shape).copy())
+        pts = np.array([[0.1, 0.2, 0.3], [-0.5, 0.9, 0.0]])
+        assert np.max(np.abs(contact_check(dz, pts))) < 1e-10
 
     def test_jet_orientation(self, jet):
-        assert contact_check(jet.alpha, np.array([0.2, 0.5, -0.1])) == pytest.approx(
-            1.0, abs=1e-7
-        )
+        vals = contact_check(jet.alpha, np.array([[0.2, 0.5, -0.1]]))
+        assert vals[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_anosov_nonvanishing_constant(self, cat_model):
-        vals = [
-            contact_check(cat_model.alpha, p)
-            for p in cat_model.chart.sample(20, rng_seed=7)
-        ]
+        vals = contact_check(cat_model.alpha, cat_model.chart.sample(20, rng_seed=7))
         assert np.ptp(vals) < 1e-6
         assert abs(vals[0]) > 0.5
 
     def test_bounded_away_from_zero_all_builtins(self, solenoid, jet, knot, cat_model):
         for model in (solenoid, jet, knot, cat_model):
-            for p in model.chart.sample(16, rng_seed=8):
-                assert abs(contact_check(model.alpha, p)) > 1e-3
+            vals = contact_check(model.alpha, model.chart.sample(16, rng_seed=8))
+            assert np.all(np.abs(vals) > 1e-3)
 
 
 class TestCertifyContraction:
@@ -265,6 +212,8 @@ class TestCertifyContraction:
         cert = certify_contraction(bad, samples=10_000, rng_seed=0)
         assert not cert.passed
         assert not (cert.d1["pass"] and cert.d3["pass"])
+        # y near 1 sends the last coordinate out of the target box.
+        assert not cert.d1["pass"]
 
     def test_cat_map_passes(self, cat_model):
         cert = certify_contraction(cat_model, samples=5000, rng_seed=0)
@@ -328,19 +277,18 @@ class TestCertifyContraction:
 
 class TestBuiltinModels:
     def test_solenoid_image_point(self, solenoid):
-        assert solenoid.phi(np.zeros(3)) == pytest.approx([0.0, 0.5, 0.0])
+        assert solenoid.phi(np.zeros((1, 3)))[0] == pytest.approx([0.0, 0.5, 0.0])
 
     def test_knot_image_point(self, knot):
-        assert knot.phi(np.zeros(3)) == pytest.approx([0.0, 0.0, 0.001])
+        assert knot.phi(np.zeros((1, 3)))[0] == pytest.approx([0.0, 0.0, 0.001])
 
     def test_unknown(self):
         with pytest.raises(UnknownModel):
             builtin_model("moebius")
 
     def test_jet_factor(self, jet):
-        assert conformal_factor(jet.phi, jet.alpha, np.array([0.1, 0.9, 0.3])) == (
-            pytest.approx(0.5, abs=1e-12)
-        )
+        f = model_conformal_factors(jet, np.array([[0.1, 0.9, 0.3]]))[0]
+        assert f[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestAnosovEigenforms:
@@ -349,10 +297,8 @@ class TestAnosovEigenforms:
         # under the torus map.
         mat = np.array(cat_model.params["matrix"], float)
         torus_map = SmoothMap(
-            lambda p: np.atleast_2d(p) @ mat.T,
-            lambda p: np.broadcast_to(
-                mat, (np.atleast_2d(p).shape[0], 2, 2)
-            ).copy(),
+            lambda p: p @ mat.T,
+            lambda p: np.broadcast_to(mat, (len(p), 2, 2)).copy(),
         )
         cert = certify_matrix(IntMatrix.from_rows([[2, 1], [1, 1]]))
         lam_sorted = sorted(cert.roots)
@@ -360,13 +306,9 @@ class TestAnosovEigenforms:
             vals, vecs = np.linalg.eig(mat.T)
             idx = int(np.argmin(np.abs(vals - lam)))
             beta = np.real(vecs[:, idx])
-            form = OneForm(
-                lambda p, b=beta: np.broadcast_to(
-                    b, np.atleast_2d(p).shape
-                ).copy().squeeze()
-            )
-            p = np.array([0.3, 0.8])
-            pb = eval_pullback(torus_map, form, p)
+            form = OneForm(lambda p, b=beta: np.broadcast_to(b, p.shape).copy())
+            pts = np.array([[0.3, 0.8], [0.6, 0.1]])
+            pb = pullback(torus_map, form, pts, None)[0]
             assert np.max(np.abs(pb - lam * beta)) < 1e-10
 
     def test_rejects_negative_small_eigenvalue(self):

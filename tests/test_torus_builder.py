@@ -76,26 +76,21 @@ def variable_rate_model() -> ContactModel:
     )
 
     def alpha(pts):
-        arr = np.atleast_2d(pts)
-        out = np.zeros_like(arr)
+        out = np.zeros_like(pts)
         out[:, 0] = 1.0
-        out[:, 1] = -arr[:, 2]
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        out[:, 1] = -pts[:, 2]
+        return out
 
     def forward(pts):
-        arr = np.atleast_2d(np.asarray(pts, float))
-        out = np.column_stack([h(arr[:, 0]), arr[:, 1], hp(arr[:, 0]) * arr[:, 2]])
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        return np.column_stack([h(pts[:, 0]), pts[:, 1], hp(pts[:, 0]) * pts[:, 2]])
 
     def jacobian(pts):
-        arr = np.atleast_2d(pts)
-        n = arr.shape[0]
-        out = np.zeros((n, 3, 3))
-        out[:, 0, 0] = hp(arr[:, 0])
+        out = np.zeros((len(pts), 3, 3))
+        out[:, 0, 0] = hp(pts[:, 0])
         out[:, 1, 1] = 1.0
-        out[:, 2, 0] = hpp(arr[:, 0]) * arr[:, 2]
-        out[:, 2, 2] = hp(arr[:, 0])
-        return out if np.asarray(pts).ndim > 1 else out[0]
+        out[:, 2, 0] = hpp(pts[:, 0]) * pts[:, 2]
+        out[:, 2, 2] = hp(pts[:, 0])
+        return out
 
     return ContactModel(
         name="variable_rate",
@@ -143,7 +138,7 @@ class TestDescent:
         g9 = math.log(9.0)
         bad = MappingTorusModel(
             solenoid,
-            GExtension(lambda p: np.full(np.atleast_2d(p).shape[0], g9), "forced", g9),
+            GExtension(lambda p: np.full(len(p), g9), "forced", g9),
         )
         with pytest.raises(DescentViolation) as err:
             descent_check(bad, samples=300)
@@ -192,7 +187,7 @@ class TestTransversality:
     def test_untilted_fails(self, solenoid):
         flat = MappingTorusModel(
             solenoid,
-            GExtension(lambda p: np.full(np.atleast_2d(p).shape[0], LN10), "constant", LN10),
+            GExtension(lambda p: np.full(len(p), LN10), "constant", LN10),
             tilt_eps=0.0,
         )
         assert boundary_transversality_check(flat) == 0.0
@@ -209,7 +204,7 @@ class TestAttractorIteration:
         grid = np.column_stack(
             [np.linspace(0, 2 * math.pi, 64, endpoint=False), np.zeros(64), np.zeros(64)]
         )
-        img = solenoid.chart.reduce(np.atleast_2d(solenoid.phi(grid)))
+        img = solenoid.chart.reduce(solenoid.phi(grid))
         assert np.allclose(
             img[:, 0], np.mod(2 * grid[:, 0], 2 * math.pi), atol=1e-12
         )
