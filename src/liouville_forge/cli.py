@@ -49,6 +49,8 @@ THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
 _USAGE_ERRORS = (
     ValueError, UnknownModel, ModelError, EigenFailure, EmptySection, MemoryError
 )
+_K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
+               "rounds once at each value")
 # Half-width of the slab that --section cuts from the section cloud, whose
 # points are seeded on the fiber itself.
 SECTION_THICKNESS = 1e-6
@@ -105,7 +107,8 @@ def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict]:
     if name == "anosov":
         cert = find_matrix(_spectrum_request(args))
         return anosov_model(cert.matrix, cert), {
-            "spectrum_certificate": cert.to_dict()
+            "spectrum_certificate": cert.to_dict(),
+            "search": cert.search.to_dict(),
         }
     params = {}
     if name == "transverse_knot":
@@ -117,7 +120,8 @@ def _build_model(args: argparse.Namespace) -> tuple[ContactModel, dict]:
 
 def cmd_find_matrix(args: argparse.Namespace) -> int:
     cert = find_matrix(_spectrum_request(args))
-    _write_report(args, "find-matrix", "pass", {"certificate": cert.to_dict()})
+    _write_report(args, "find-matrix", "pass",
+                  {"certificate": cert.to_dict(), "search": cert.search.to_dict()})
     return 0
 
 
@@ -223,7 +227,7 @@ def _add_model_args(p: argparse.ArgumentParser, models: tuple[str, ...]) -> None
                    help="anosov: prescribed middle eigenvalues (n-2 values)")
     p.add_argument("--eps", type=float, default=0.4, help="anosov: spectrum tolerance")
     p.add_argument("--k1-max", type=int, default=200_000, dest="k1_max",
-                   help="anosov: lattice scan budget")
+                   help=f"anosov: {_K1_MAX_HELP}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=float, nargs="*", default=[])
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--k1-max", type=int, default=200_000, dest="k1_max")
+    p.add_argument("--k1-max", type=int, default=200_000, dest="k1_max", help=_K1_MAX_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_find_matrix)
 
@@ -288,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SearchExhausted as exc:
-        _write_report(args, args.command, "not-found", {"error": str(exc)})
+        _write_report(args, args.command, "not-found",
+                      {"error": str(exc), "search": exc.search.to_dict()})
         return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

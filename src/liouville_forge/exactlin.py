@@ -2,9 +2,12 @@
 
 Everything here runs over arbitrary-precision integers or exact rationals:
 companion matrices, characteristic polynomials (trace recursion),
-determinants (fraction-free elimination) and Sturm-sequence root isolation
-with bisection refinement.  No floating point enters, so the spectrum
-certificates built on top of this module are bit-trustworthy.
+determinants (fraction-free elimination), the exact sign of a polynomial at
+a rational point (integer Horner), root isolation by sign alternation around
+supplied guesses or by Sturm sequences, and bisection refinement.  A guess
+only chooses where to evaluate; every verdict rests on exact integer signs,
+so the spectrum certificates built on top of this module are
+bit-trustworthy.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "companion_matrix",
     "char_poly",
     "determinant",
+    "sign_at",
+    "alternation_isolate",
     "sturm_isolate",
     "refine_root",
 ]
@@ -124,12 +129,11 @@ def companion_matrix(k: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def _mat_mul(a_rows: list[list[tuple[int, int]]], b: list[list[int]]) -> list[list[int]]:
+    """a @ b, with a given as the (column, value) pairs of each row's
+    nonzero entries: a companion matrix has at most two per row."""
+    n = len(b)
+    return [[sum(v * b[t][j] for t, v in row) for j in range(n)] for row in a_rows]
 
 
 def char_poly(A: IntMatrix) -> IntPolynomial:
@@ -138,7 +142,7 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
     Intermediate divisions are by construction exact over the integers.
     """
     n = A.n
-    a = A.to_lists()
+    a = [[(t, v) for t, v in enumerate(row) if v] for row in A.entries]
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -178,6 +182,51 @@ def determinant(A: IntMatrix) -> int:
             m[r][i] = 0
         prev = m[i][i]
     return sign * m[n - 1][n - 1]
+
+
+# -- Sign alternation ---------------------------------------------------------
+
+def sign_at(P: IntPolynomial, a: int, b: int) -> int:
+    """Exact sign of P at the rational a/b, for integers a and b > 0.
+
+    Integer Horner on the cleared numerator sum_j c_j a^j b^(n-j), which
+    has the sign of P(a/b) because b^n > 0; no rational arithmetic.
+    """
+    acc = P.coeffs[-1]
+    bpow = 1
+    for c in reversed(P.coeffs[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return (acc > 0) - (acc < 0)
+
+
+def alternation_isolate(
+    P: IntPolynomial, guesses: Sequence[float | Fraction]
+) -> RootIsolation | None:
+    """Prove that P has deg P simple real roots, one near each guess.
+
+    P is evaluated exactly at the midpoints between neighbouring sorted
+    guesses and at one point beyond each end (the end guess mirrored across
+    its nearest midpoint).  If these n + 1 signs alternate, the intermediate
+    value theorem puts a root in each of the n open intervals between
+    neighbouring points, and the degree leaves room for no more: each holds
+    exactly one simple root.  Returns None when the signs do not alternate,
+    which proves nothing either way.
+    """
+    n = P.degree
+    if len(guesses) != n:
+        raise ValueError(f"need {n} guesses, got {len(guesses)}")
+    rs = sorted(Fraction(g) for g in guesses)
+    if n == 1:
+        points = [rs[0] - 1, rs[0] + 1]
+    else:
+        mids = [(u + v) / 2 for u, v in zip(rs, rs[1:])]
+        points = [2 * rs[0] - mids[0], *mids, 2 * rs[-1] - mids[-1]]
+    signs = [sign_at(P, p.numerator, p.denominator) for p in points]
+    if any(s == 0 for s in signs) or any(u == v for u, v in zip(signs, signs[1:])):
+        return None
+    intervals = tuple(zip(points, points[1:]))
+    return RootIsolation(intervals, (True,) * n, True, n)
 
 
 # -- Sturm machinery over exact rationals -----------------------------------
@@ -323,32 +372,37 @@ def refine_root(
 ) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of a simple root to width below ``tol``.
 
-    Pure sign bisection on exact rational evaluation; an exactly-hit root
-    returns a degenerate [r, r] interval.
+    Pure sign bisection on the exact sign test ``sign_at``; an exactly-hit
+    root returns a degenerate [r, r] interval.  The endpoints are kept as
+    integer numerators lo/d and hi/d over one denominator d that doubles
+    with each halving, so no step pays for a gcd.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fa = P(a)
+    d = a.denominator * b.denominator
+    lo, hi = a.numerator * b.denominator, b.numerator * a.denominator
+    sa = sign_at(P, lo, d)
     if a == b:
-        if fa == 0:
+        if sa == 0:
             return (a, a)
         raise NotIsolating("degenerate interval without a root")
-    fb = P(b)
-    if fa == 0:
+    sb = sign_at(P, hi, d)
+    if sa == 0:
         return (a, a)
-    if fb == 0:
+    if sb == 0:
         return (b, b)
-    if _sign(fa) == _sign(fb):
+    if sa == sb:
         raise NotIsolating("no sign change across the interval")
-    while b - a >= tol:
-        m = (a + b) / 2
-        fm = P(m)
-        if fm == 0:
-            return (m, m)
-        if _sign(fm) == _sign(fa):
-            a, fa = m, fm
+    while (hi - lo) * tol.denominator >= tol.numerator * d:
+        mid = lo + hi
+        lo, hi, d = 2 * lo, 2 * hi, 2 * d
+        sm = sign_at(P, mid, d)
+        if sm == 0:
+            return (Fraction(mid, d), Fraction(mid, d))
+        if sm == sa:
+            lo = mid
         else:
-            b, fb = m, fm
-    return (a, b)
+            hi = mid
+    return (Fraction(lo, d), Fraction(hi, d))

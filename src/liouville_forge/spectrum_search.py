@@ -1,11 +1,20 @@
 """Search for unit-determinant integer matrices with prescribed real spectrum.
 
-Pipeline: seed the middle eigenvalues near the requested tuple, express the
-integer constraints through elementary symmetric polynomials, scan the
-translation orbit on the torus for a near-integer hit, and let the exact
-layer alone accept or reject it: Sturm-certified root isolation on the
-integer companion matrix.  ``newton_refine`` and ``solve_tail`` are
-standalone float helpers that ``find_matrix`` does not call.
+The integer constraints on the spectrum, written through elementary
+symmetric polynomials, read k' = x + k1*sigma, where sigma holds the
+symmetric values of the n-2 middle eigenvalues and k1 is the trace.
+``find_matrix`` seeds the middle eigenvalues near the requested tuple once,
+then tries k1 = ``_k1_floor``, doubling up to ``k1_max``.  At each k1 it
+rounds once, k' = rint(x + k1*sigma), and the exact layer alone accepts or
+rejects the companion matrix of (k1, k'): the float roots of its exact
+characteristic polynomial only say where to evaluate, and an exact sign
+alternation (``exactlin.alternation_isolate``) proves the n simple real
+roots.  The magnitude conditions are decided on those intervals, and
+bisection runs only where an interval straddles a bound.
+
+``ergodic_scan``, ``newton_refine`` and ``solve_tail`` are earlier float
+stages that ``find_matrix`` no longer calls; they stay importable until the
+benchmark that wraps them is refreshed.
 """
 
 from __future__ import annotations
@@ -19,7 +28,9 @@ import numpy as np
 
 from .exactlin import (
     IntMatrix,
+    IntPolynomial,
     SquareFreeViolation,
+    alternation_isolate,
     char_poly,
     companion_matrix,
     determinant,
@@ -32,6 +43,7 @@ __all__ = [
     "SeedLambdas",
     "SigmaVector",
     "SpectrumCertificate",
+    "SearchCounters",
     "DegenerateSigma",
     "NotFound",
     "SingularJacobian",
@@ -55,7 +67,7 @@ class DegenerateSigma(Exception):
 
 
 class NotFound(Exception):
-    """Scan budget exhausted without a near-integer hit."""
+    """Scan budget exhausted without a near-integer hit (``ergodic_scan``)."""
 
 
 class SingularJacobian(Exception):
@@ -71,13 +83,48 @@ class ComplexTail(Exception):
 
 
 class SearchExhausted(Exception):
-    """All retries and scan budgets spent without a verified certificate."""
+    """No verified certificate up to ``k1_max``, or k1 grew past the float guard.
+
+    ``search`` holds the counters of the search that gave up.
+    """
+
+    def __init__(self, message: str, search: "SearchCounters") -> None:
+        super().__init__(message)
+        self.search = search
+
+
+# Rejection reasons of the exact layer, in the order they are checked.
+REJECT_REASONS = ("not_real", "middle", "tail")
+
+
+class _Rejected(Exception):
+    """The exact layer refused a candidate; ``args[0]`` is its reason."""
+
+
+@dataclass
+class SearchCounters:
+    """What one ``find_matrix`` call did: the k1 values it rounded at, the
+    candidates the exact layer checked, and its rejections by reason."""
+
+    k1_tried: list[int] = field(default_factory=list)
+    exact_checks: int = 0
+    rejections: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(REJECT_REASONS, 0)
+    )
+
+    def to_dict(self) -> dict:
+        return {
+            "k1_tried": list(self.k1_tried),
+            "exact_checks": self.exact_checks,
+            "rejections": dict(self.rejections),
+        }
 
 
 @dataclass(frozen=True)
 class SpectrumRequest:
     """Target spectrum: n-2 prescribed middle eigenvalues within eps, plus
-    one eigenvalue above 1/eps and one below eps in magnitude."""
+    one eigenvalue above 1/eps and one below eps in magnitude.  ``k1_max``
+    is the largest k1 the search tries."""
 
     n: int
     mu: tuple[float, ...] = ()
@@ -140,7 +187,9 @@ class SpectrumCertificate:
     eigenvalues matched to the request, then the large one, then the small
     one.  ``k`` collects the elementary symmetric values of the full
     spectrum as exact integers (the last, the determinant, is always 1 and
-    not stored).
+    not stored).  ``search`` carries the counters of the ``find_matrix``
+    call that found the matrix (None from ``certify_matrix``); ``to_dict``
+    leaves it out.
     """
 
     matrix: IntMatrix
@@ -152,6 +201,7 @@ class SpectrumCertificate:
     root_intervals: tuple[tuple[float, float], ...]
     conditions: dict[str, bool] = field(default_factory=dict)
     residuals: dict[str, float] = field(default_factory=dict)
+    search: SearchCounters | None = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -233,6 +283,9 @@ def ergodic_scan(
     next.  Each coordinate is the same float expression as in the full
     ``(k1, m)`` orbit, so the first hit and its lattice point are bitwise
     the ones the full orbit gives.
+
+    Not called by ``find_matrix``; deleted with the benchmark refresh
+    (ROADMAP item 4).
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError("eps must be positive and finite")
@@ -261,6 +314,12 @@ def ergodic_scan(
 
 
 def _dynamics_jacobian(lam: np.ndarray, sigma: SigmaVector, k1: int) -> np.ndarray:
+    """Jacobian of ``residual_dynamics`` in the middle eigenvalues, for
+    ``newton_refine``.
+
+    Not called by ``find_matrix``; deleted with the benchmark refresh
+    (ROADMAP item 4).
+    """
     m = lam.size
     s1 = sigma.value(1)
     sm = sigma.last
@@ -287,7 +346,11 @@ def newton_refine(
     """Polish the middle eigenvalues until the eliminated system residual
     drops below ``tol``.  Analytic Jacobian through the symmetric functions
     (the derivative of sigma_j in lambda_i is sigma_{j-1} of the tuple with
-    lambda_i omitted).  ``find_matrix`` does not call this helper."""
+    lambda_i omitted).
+
+    Not called by ``find_matrix``; deleted with the benchmark refresh
+    (ROADMAP item 4).
+    """
     lam = np.asarray(seed.lams, dtype=float)
     if lam.size == 0:
         return ()
@@ -316,7 +379,10 @@ def newton_refine(
 
 def solve_tail(sigma: SigmaVector, k1: int) -> tuple[float, float]:
     """Real roots of t^2 - (k1 - sigma_1) t + 1/sigma_m, larger magnitude first.
-    ``find_matrix`` does not call this helper."""
+
+    Not called by ``find_matrix``; deleted with the benchmark refresh
+    (ROADMAP item 4).
+    """
     if sigma.last == 0:
         raise DegenerateSigma("sigma_{n-2} vanishes")
     b = k1 - sigma.value(1)
@@ -382,48 +448,105 @@ def _greedy_match(mids: list[float], pool: list[int], mu: Sequence[float]) -> li
     return chosen
 
 
+# Every accepted root interval is narrower than this.
+_ROOT_TOL = Fraction(1, 10**12)
+# Below 2**50 a float keeps two fractional bits, so rint(x + k1*sigma) still
+# rounds a value that carries its fractional part.
+_FLOAT_GUARD = 2.0**50
+_REFUSALS = {
+    "not_real": "matrix spectrum is not real and simple",
+    "middle": "a middle eigenvalue is not within eps of its target",
+    "tail": "the large and small eigenvalues fail the magnitude conditions",
+}
+
+
+def _float_roots(poly: IntPolynomial) -> list[float] | None:
+    """Sorted real parts of the float roots of an exact polynomial, or None
+    when its coefficients or roots are not finite floats."""
+    try:
+        coeffs = np.array(poly.coeffs[::-1], dtype=float)
+    except OverflowError:
+        return None
+    roots = np.roots(coeffs)
+    if not np.isfinite(roots).all():
+        return None
+    return sorted(float(r) for r in roots.real)
+
+
+def _verdict(
+    iv: tuple[Fraction, Fraction], t: Fraction, bound: Fraction, above: bool
+) -> bool | None:
+    """Whether |x - t| is above (or below) ``bound`` for every x in iv: True
+    if it is throughout, False if it fails throughout, None if iv straddles
+    the bound."""
+    a, b = iv[0] - t, iv[1] - t
+    hi = max(abs(a), abs(b))
+    lo = Fraction(0) if a <= 0 <= b else min(abs(a), abs(b))
+    if above:
+        return True if lo > bound else False if hi <= bound else None
+    return True if hi < bound else False if lo >= bound else None
+
+
 def _certificate_from_matrix(
-    A: IntMatrix, mu: Sequence[float], eps: float | None
-) -> SpectrumCertificate | None:
-    """Exact verification pass: read k off the characteristic polynomial,
-    Sturm-count the spectrum, refine roots, and check the magnitude
-    conditions with interval endpoints."""
+    A: IntMatrix, mu: Sequence[float], eps: float | None, sturm_fallback: bool = False
+) -> SpectrumCertificate:
+    """Exact verification pass; raises ``_Rejected`` with its reason.
+
+    Reads k off the characteristic polynomial and proves its n simple real
+    roots by sign alternation around its float roots.  With
+    ``sturm_fallback``, a polynomial whose signs do not alternate is
+    isolated by Sturm sequences instead, so a refusal still carries a proof.
+    The float roots (or the refined Sturm roots) pick the small, large and
+    middle roles.  Each magnitude condition is decided on the isolating
+    interval where it can be; only an interval that straddles its bound is
+    refined first.  Middles are checked before the tail, and an accepted
+    certificate carries every interval refined below ``_ROOT_TOL``.
+    """
     n = A.n
     poly = char_poly(A)
     k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
-    try:
-        iso = sturm_isolate(poly, require_simple=True)
-    except SquareFreeViolation:
-        return None
-    if iso.count_real != n:
-        return None
-    refined = [refine_root(poly, iv, Fraction(1, 10**12)) for iv in iso.intervals]
-    mids = [float((a + b) / 2) for a, b in refined]
+    guesses = _float_roots(poly)
+    iso = None if guesses is None else alternation_isolate(poly, guesses)
+    if iso is not None:
+        ivs = list(iso.intervals)
+    elif sturm_fallback:
+        try:
+            iso = sturm_isolate(poly, require_simple=True)
+        except SquareFreeViolation:
+            raise _Rejected("not_real") from None
+        if iso.count_real != n:
+            raise _Rejected("not_real")
+        ivs = [refine_root(poly, iv, _ROOT_TOL) for iv in iso.intervals]
+        guesses = [float((a + b) / 2) for a, b in ivs]
+    else:
+        raise _Rejected("not_real")
 
-    small = min(range(n), key=lambda i: abs(mids[i]))
-    large = max(range(n), key=lambda i: abs(mids[i]))
+    small = min(range(n), key=lambda i: abs(guesses[i]))
+    large = max(range(n), key=lambda i: abs(guesses[i]))
     if small == large:
-        return None
+        raise _Rejected("tail")
     middle_pool = [i for i in range(n) if i not in (small, large)]
-    middle = _greedy_match(mids, middle_pool, mu)
+    middle = _greedy_match(guesses, middle_pool, mu)
 
     conditions: dict[str, bool] = {}
     if eps is not None:
         feps = Fraction(eps)
-        ok_mid = True
-        for idx, target in zip(middle, mu):
-            a, b = refined[idx]
-            ft = Fraction(target)
-            if max(abs(a - ft), abs(b - ft)) >= feps:
-                ok_mid = False
-                break
-        la, lb = refined[large]
-        sa, sb = refined[small]
-        ok_tail = min(abs(la), abs(lb)) > 1 / feps and max(abs(sa), abs(sb)) < feps
-        conditions = {"middles_within_eps": ok_mid, "tail_magnitudes": ok_tail}
-        if not (ok_mid and ok_tail):
-            return None
+        checks = [("middle", i, Fraction(t), feps, False) for i, t in zip(middle, mu)]
+        checks += [("tail", large, Fraction(0), 1 / feps, True),
+                   ("tail", small, Fraction(0), feps, False)]
+        verdicts = [_verdict(ivs[i], t, bound, above) for _, i, t, bound, above in checks]
+        for (reason, *_), verdict in zip(checks, verdicts):
+            if verdict is False:
+                raise _Rejected(reason)
+        for (reason, i, t, bound, above), verdict in zip(checks, verdicts):
+            if verdict is None:
+                ivs[i] = refine_root(poly, ivs[i], _ROOT_TOL)
+                if not _verdict(ivs[i], t, bound, above):
+                    raise _Rejected(reason)
+        conditions = {"middles_within_eps": True, "tail_magnitudes": True}
 
+    refined = [refine_root(poly, iv, _ROOT_TOL) for iv in ivs]
+    mids = [float((a + b) / 2) for a, b in refined]
     order = middle + [large, small]
     roots = tuple(mids[i] for i in order)
     intervals = tuple((float(refined[i][0]), float(refined[i][1])) for i in order)
@@ -468,7 +591,9 @@ def certify_matrix(
     """Build a certificate for an externally supplied matrix.
 
     The matrix must have unit determinant and an all-real simple spectrum;
-    magnitude conditions are evaluated only when ``eps`` is given.
+    magnitude conditions are evaluated only when ``eps`` is given.  A
+    spectrum whose signs do not alternate around its float roots goes to
+    Sturm isolation before it is refused.
     """
     if determinant(A) != 1:
         raise ValueError("matrix determinant must be exactly 1")
@@ -476,38 +601,52 @@ def certify_matrix(
     if len(mu) not in (0, n - 2):
         raise ValueError("mu must be empty or have length n-2")
     mu_eff = tuple(mu) if mu else tuple(0.0 for _ in range(n - 2))
-    cert = _certificate_from_matrix(A, mu_eff, eps)
-    if cert is None:
-        raise ValueError("matrix spectrum is not real and simple (or fails conditions)")
+    try:
+        cert = _certificate_from_matrix(A, mu_eff, eps, sturm_fallback=True)
+    except _Rejected as exc:
+        raise ValueError(_REFUSALS[exc.args[0]]) from None
     return cert if mu else replace(cert, mu=())
 
 
 def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
-    """Seed, scan, and return the first scan hit that verifies exactly.
+    """Seed once, round at doubling k1, and return the first candidate the
+    exact layer accepts.
 
-    A hit (k1, k') becomes the companion matrix of (k1,) + k', which
-    ``_certificate_from_matrix`` alone accepts or rejects.  Retry policy:
-    three re-seeds on top of the initial attempt, doubling the scan budget
-    each time, then ``SearchExhausted``.
+    k1 runs through ``_k1_floor`` * 2^i up to ``request.k1_max``.  Each k1
+    is rounded once, k' = rint(x + k1*sigma), and ``_certificate_from_matrix``
+    alone accepts or rejects the companion matrix of (k1,) + k'.
+    ``SearchExhausted`` ends the search past ``k1_max``, or before a
+    rounding whose k1*max|sigma| reaches 2**50.  The certificate's ``search``
+    holds the counters.
     """
-    scan_eps = min(request.eps / 8.0, 0.05)
-    for attempt in range(4):
-        seeded = replace(
-            request, k1_max=request.k1_max * (2**attempt), seed=request.seed + attempt
-        )
-        sigma0 = elementary_symmetric(seed_lambdas(seeded).lams)
-        xv = x_vector(sigma0)
-        k1 = _k1_floor(sigma0, request.eps)
-        while k1 <= seeded.k1_max:
-            try:
-                k1, kprime = ergodic_scan(xv, sigma0, scan_eps, k1, seeded.k1_max)
-            except NotFound:
-                break
-            A = companion_matrix(tuple(reversed((k1,) + kprime)))
+    counters = SearchCounters()
+    sigma = elementary_symmetric(seed_lambdas(request).lams)
+    x = np.asarray(x_vector(sigma))
+    rate = np.asarray(sigma.sigma)
+    top = float(np.max(np.abs(rate), initial=0.0))
+    where = f"n={request.n}, eps={request.eps}"
+    k1 = _k1_floor(sigma, request.eps)
+    while k1 <= request.k1_max:
+        if k1 * top >= _FLOAT_GUARD:
+            raise SearchExhausted(
+                f"no certificate for {where}: stopped before k1={k1}, where "
+                f"k1*max|sigma| = {k1 * top:.6g} reaches 2**50 and x + k1*sigma "
+                "keeps too few fractional bits to round",
+                counters,
+            )
+        counters.k1_tried.append(k1)
+        kprime = np.rint(x + k1 * rate)
+        A = companion_matrix(tuple(reversed((k1, *(int(v) for v in kprime)))))
+        counters.exact_checks += 1
+        try:
             cert = _certificate_from_matrix(A, request.mu, request.eps)
-            if cert is not None:
-                return cert
-            k1 += 1
+        except _Rejected as exc:
+            counters.rejections[exc.args[0]] += 1
+        else:
+            return replace(cert, search=counters)
+        k1 *= 2
     raise SearchExhausted(
-        f"no certificate for n={request.n}, eps={request.eps} within budget"
+        f"no certificate for {where} at the doubling k1 values up to "
+        f"k1_max={request.k1_max}",
+        counters,
     )

@@ -48,6 +48,21 @@ class TestFindMatrix:
         assert code == 3
         assert json.loads(out.read_text())["status"] == "not-found"
 
+    def test_search_counters(self, tmp_path):
+        # Found: every k1 tried got one exact check, and all but the last
+        # were rejected.  Not found (k1_max below the k1 floor): nothing tried.
+        out = tmp_path / "r.json"
+        assert run(["find-matrix", "--n", "3", "--mu", "2.0", "--eps", "0.5",
+                    "--seed", "7", "--out", str(out)]) == 0
+        search = json.loads(out.read_text())["results"]["search"]
+        assert search["exact_checks"] == len(search["k1_tried"])
+        assert search["exact_checks"] == sum(search["rejections"].values()) + 1
+        assert set(search["rejections"]) == {"not_real", "middle", "tail"}
+        assert run(["find-matrix", "--n", "3", "--mu", "0.5", "--eps", "0.2",
+                    "--k1-max", "2", "--out", str(out)]) == 3
+        search = json.loads(out.read_text())["results"]["search"]
+        assert search["k1_tried"] == [] and search["exact_checks"] == 0
+
 
 class TestCertify:
     def test_solenoid(self, tmp_path):
@@ -76,6 +91,7 @@ class TestCertify:
         cert = rep["results"]["contraction_certificate"]
         lam = rep["results"]["spectrum_certificate"]["roots"][-1]
         assert cert["d3"]["factor_max"] == pytest.approx(lam, abs=1e-8)
+        assert rep["results"]["search"]["exact_checks"] >= 1
 
     def test_anosov_wrong_mu_count(self):
         assert run(["certify", "--model", "anosov", "--n", "3"]) == 2

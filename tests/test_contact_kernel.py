@@ -188,6 +188,24 @@ class TestContactCheck:
             assert np.all(np.abs(vals) > 1e-3)
 
 
+# The n = 4 (mu, seed) rows on which the contraction benchmark certifies
+# anosov maps (eps 0.4, the CLI default).
+ANOSOV_N4_INPUTS = (
+    ((0.98, 0.90), 8577),
+    ((1.64, 0.95), 5160),
+    ((0.92, 1.81), 5355),
+    ((1.19, 1.75), 7031),
+    ((1.11, 1.71), 5790),
+    ((0.91, 1.71), 6289),
+    ((0.97, 0.87), 7987),
+    ((1.85, 1.53), 3468),
+    ((0.87, 1.47), 2003),
+    ((1.14, 1.39), 8158),
+    ((1.21, 1.25), 7197),
+    ((1.62, 1.21), 9708),
+)
+
+
 class TestCertifyContraction:
     def test_solenoid_passes(self, solenoid):
         cert = certify_contraction(solenoid, samples=10_000, rng_seed=0)
@@ -227,6 +245,12 @@ class TestCertifyContraction:
         out = certify_contraction(model, samples=3000, rng_seed=1)
         assert out.passed
         assert out.d3["factor_max"] == pytest.approx(cert.roots[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("mu, seed", ANOSOV_N4_INPUTS)
+    def test_anosov_n4_inputs_pass(self, mu, seed):
+        cert = find_matrix(SpectrumRequest(n=4, mu=mu, eps=0.4, seed=seed))
+        model = anosov_model(cert.matrix, cert)
+        assert certify_contraction(model, samples=2000, rng_seed=seed).passed
 
     @pytest.mark.parametrize("with_inverse", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])

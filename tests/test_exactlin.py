@@ -12,10 +12,12 @@ from liouville_forge.exactlin import (
     IntPolynomial,
     NotIsolating,
     SquareFreeViolation,
+    alternation_isolate,
     char_poly,
     companion_matrix,
     determinant,
     refine_root,
+    sign_at,
     sturm_isolate,
 )
 
@@ -222,3 +224,105 @@ class TestRefineRoot:
             ]
             assert sum(roots) == pytest.approx(k[-1], abs=len(roots) * 1e-12)
             assert math.prod(roots) == pytest.approx(1.0, rel=len(roots) * 1e-12)
+
+
+def _reference_refine(P, interval, tol):
+    """Bisection on the exact rational value P(m), as refine_root did before
+    it used the integer sign test."""
+    a, b = Fraction(interval[0]), Fraction(interval[1])
+    fa = P(a)
+    while b - a >= tol:
+        m = (a + b) / 2
+        fm = P(m)
+        if fm == 0:
+            return (m, m)
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return (a, b)
+
+
+_small_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=6).map(
+    lambda k: char_poly(companion_matrix(k))
+)
+_rationals = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**4)
+
+
+class TestSignAt:
+    @given(_small_polys, _rationals, st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_rational_value(self, p, x, scale):
+        # Any representation a/b of x, reduced or not, gives the same sign.
+        v = p(x)
+        assert sign_at(p, x.numerator * scale, x.denominator * scale) == (v > 0) - (v < 0)
+
+    def test_exact_root(self):
+        p = IntPolynomial((-1, 1))  # x - 1
+        assert sign_at(p, 1, 1) == 0
+        assert sign_at(p, 3, 2) == 1
+        assert sign_at(p, -7, 3) == -1
+
+
+class TestRefineRootSignTest:
+    @given(_small_polys, st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
+    @settings(max_examples=40, deadline=None)
+    def test_same_intervals_as_rational_bisection(self, p, tol):
+        for iv in sturm_isolate(p).intervals:
+            if p(iv[0]) * p(iv[1]) >= 0:
+                continue  # a root at an endpoint, or one of even multiplicity
+            assert refine_root(p, iv, tol) == _reference_refine(p, iv, tol)
+
+
+@st.composite
+def _rational_roots(draw):
+    """Monic integer p(y) = L^n q(y/L), q = prod (x - r_i) for distinct
+    rationals r_i with common denominator L, with guesses for p's roots
+    off by less than a fifth of the gap to the nearest neighbour."""
+    roots = draw(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                          min_size=1, max_size=7, unique=True))
+    lcm = math.lcm(*(r.denominator for r in roots))
+    scaled = sorted(r * lcm for r in roots)  # integers: the roots of p
+    coeffs = [1]
+    for r in scaled:  # multiply by (y - r), ascending powers
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= int(r) * coeffs[i + 1]
+    gaps = [b - a for a, b in zip(scaled, scaled[1:])]
+    guesses = []
+    for i, r in enumerate(scaled):
+        near = min(gaps[max(i - 1, 0): i + 1], default=1)
+        guesses.append(float(r) + draw(st.floats(-0.2, 0.2)) * float(near))
+    return IntPolynomial(tuple(coeffs)), guesses
+
+
+class TestAlternationIsolate:
+    @given(_rational_roots())
+    @settings(max_examples=60, deadline=None)
+    def test_each_interval_holds_one_sturm_root(self, case):
+        p, guesses = case
+        iso = alternation_isolate(p, guesses)
+        assert iso is not None and iso.count_real == p.degree
+        sturm = sturm_isolate(p, require_simple=True)
+        assert sturm.count_real == p.degree
+        sturm_roots = [refine_root(p, iv, Fraction(1, 10**9)) for iv in sturm.intervals]
+        for a, b in iso.intervals:
+            inside = [r for r in sturm_roots if a < r[0] and r[1] < b]
+            assert len(inside) == 1
+
+    def test_complex_pair_does_not_alternate(self):
+        # (x^2 + 1)(x - 3)(x + 2): two real roots, and +-i whose real parts
+        # coincide.
+        p = IntPolynomial((-6, -1, -5, -1, 1))
+        guesses = sorted(np.roots(p.coeffs[::-1]).real)
+        assert guesses == pytest.approx([-2, 0, 0, 3], abs=1e-9)
+        assert alternation_isolate(p, guesses) is None
+
+    def test_repeated_guess_does_not_alternate(self):
+        p = IntPolynomial((1, -3, 1))
+        assert alternation_isolate(p, [1.0, 1.0]) is None
+        assert alternation_isolate(p, [GOLDEN_MINUS, GOLDEN_PLUS]) is not None
+
+    def test_guess_count_must_match_degree(self):
+        with pytest.raises(ValueError):
+            alternation_isolate(IntPolynomial((1, -3, 1)), [1.0])

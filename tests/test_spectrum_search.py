@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville_forge.exactlin import IntMatrix, char_poly, determinant
+from liouville_forge import spectrum_search
+from liouville_forge.exactlin import IntMatrix, alternation_isolate, char_poly, determinant
 from liouville_forge.spectrum_search import (
     _SCAN_CHUNK,
+    REJECT_REASONS,
     ComplexTail,
     NotFound,
     SearchExhausted,
@@ -389,8 +392,9 @@ class TestFindMatrix:
         assert a.roots == b.roots
 
     def test_n6_newton_no_convergence_input(self):
-        # Every scan hit of the first attempt here ends Newton's iteration in
-        # NoConvergence, while the exact layer accepts each of them.
+        # Every lattice-scan hit of this input ended Newton's iteration in
+        # NoConvergence while the exact layer accepted it; kept as an n = 6
+        # input that must certify.
         req = SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993)
         cert = find_matrix(req)
         _assert_certificate_valid(cert, req)
@@ -408,16 +412,16 @@ class TestFindMatrix:
         "req, matrix_last_column, k",
         [
             (SpectrumRequest(n=3, mu=(1.0,)), (1, -4, 4), (4, 4)),
-            (SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7), (1, -35, 19), (19, 35)),
+            (SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7), (1, -17, 10), (10, 17)),
             (
                 SpectrumRequest(n=4, mu=(1.5, -0.8), eps=0.25, seed=3),
-                (-1, -428, -216, 355),
-                (355, 216, -428),
+                (-1, -6, -1, 5),
+                (5, 1, -6),
             ),
             (
                 SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993),
-                (-1, 13469, 1753, -11118, -203, 1947),
-                (1947, 203, -11118, -1753, 13469),
+                (-1, 41, -1, -35, 5, 6),
+                (6, -5, -35, 1, 41),
             ),
             (
                 SpectrumRequest(
@@ -426,16 +430,18 @@ class TestFindMatrix:
                     eps=0.5,
                     seed=221086,
                 ),
-                (-1, -10016, -71589, 134110, 351620, -490618, -112575, 177008),
-                (177008, 112575, -490618, -351620, 134110, 71589, -10016),
+                (-1, -6, 4, 44, -2, -89, 4, 34),
+                (34, -4, -89, 2, 44, -4, -6),
             ),
         ],
         ids=["cli-n3", "n3", "n4", "n6", "n8"],
     )
     def test_pinned_outputs(self, req, matrix_last_column, k):
-        # Recorded from the full-orbit scan; any change to which scan hit
-        # comes first changes these.
+        # Recorded from the doubling-k1 rounding; a change to the seed, the
+        # k1 floor or the rounding changes these.  Each pinned matrix must
+        # also certify on its own.
         cert = find_matrix(req)
+        assert certify_matrix(cert.matrix, req.mu, req.eps).passed
         n = req.n
         expected = [
             [int(i == j + 1) for j in range(n - 1)] + [matrix_last_column[i]]
@@ -448,11 +454,70 @@ class TestFindMatrix:
         with pytest.raises(SearchExhausted):
             find_matrix(SpectrumRequest(n=3, mu=(0.5,), eps=0.2, k1_max=2, seed=0))
 
+    def test_float_guard_stops_before_rounding(self):
+        # sigma_1 ~ 1e14 puts k1*max|sigma| past 2**50 at the k1 floor, far
+        # below k1_max: the search stops there and says why.
+        req = SpectrumRequest(n=3, mu=(1e14,), eps=0.5, k1_max=10**30, seed=0)
+        with pytest.raises(SearchExhausted, match=r"reaches 2\*\*50") as err:
+            find_matrix(req)
+        assert err.value.search.exact_checks == 0
+        assert err.value.search.k1_tried == []
+
+    def test_counters_add_up(self):
+        req = SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993)
+        search = find_matrix(req).search
+        assert search.exact_checks == sum(search.rejections.values()) + 1
+        assert search.exact_checks == len(search.k1_tried)
+        assert set(search.rejections) == set(REJECT_REASONS)
+        floor = search.k1_tried[0]
+        assert search.k1_tried == [floor * 2**i for i in range(len(search.k1_tried))]
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_high_dimensions_find(self, n):
+        # The inputs of the ROADMAP baseline table: all ten seeds certify.
+        mu = tuple(np.linspace(-1.5, 1.5, n - 2))
+        for seed in range(10):
+            req = SpectrumRequest(n=n, mu=mu, eps=0.5, seed=seed)
+            _assert_certificate_valid(find_matrix(req), req)
+
+    def test_search_calls_no_scan_and_no_sturm(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("find_matrix must not call this")
+
+        monkeypatch.setattr(spectrum_search, "sturm_isolate", forbidden)
+        monkeypatch.setattr(spectrum_search, "ergodic_scan", forbidden)
+        req = SpectrumRequest(n=8, mu=(1.3666, 0.7705, -0.1174, -0.4013, -1.5638, 0.4122),
+                              eps=0.5, seed=221086)
+        _assert_certificate_valid(find_matrix(req), req)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectrumRequest(n=3, mu=(1.0, 2.0), eps=0.5)
         with pytest.raises(ValueError):
             SpectrumRequest(n=2, eps=-1.0)
+
+
+class TestIntervalVerdict:
+    # |x - t| over an interval, against a bound: True when every point
+    # satisfies the condition, False when none does, None when it straddles.
+    @pytest.mark.parametrize(
+        "iv, t, above, expected",
+        [
+            ((3, 4), 0, True, True),  # |x| in [3, 4] > 2
+            ((1, 2), 0, True, False),  # |x| in [1, 2] <= 2
+            ((1, 3), 0, True, None),
+            ((-4, -3), 0, True, True),
+            ((-3, 3), 0, True, None),  # holds 0 and 3
+            ((-1, 1), 0, False, True),  # |x| <= 1 < 2
+            ((2, 5), 0, False, False),  # |x| >= 2
+            ((-3, 1), 0, False, None),
+            ((9, 11), 10, False, True),  # |x - 10| <= 1 < 2
+            ((12, 13), 10, False, False),
+        ],
+    )
+    def test_three_way(self, iv, t, above, expected):
+        iv = (Fraction(iv[0]), Fraction(iv[1]))
+        assert spectrum_search._verdict(iv, Fraction(t), Fraction(2), above) is expected
 
 
 class TestCertifyMatrix:
@@ -466,3 +531,42 @@ class TestCertifyMatrix:
     def test_rejects_complex_spectrum(self):
         with pytest.raises(ValueError):
             certify_matrix(IntMatrix.from_rows([[0, -1], [1, 0]]))  # rotation
+
+    def test_complex_pair_refused_through_sturm(self, monkeypatch):
+        # (x^2 + 1)(x^2 - 3x + 1) = x^4 - 3x^3 + 2x^2 - 3x + 1: two real roots
+        # and the pair +-i.  The signs cannot alternate, and the refusal
+        # comes from the Sturm fallback.
+        a = IntMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, 3], [0, 1, 0, -2], [0, 0, 1, 3]])
+        poly = char_poly(a)
+        assert poly.coeffs == (1, -3, 2, -3, 1)
+        guesses = sorted(np.roots(poly.coeffs[::-1]).real)
+        assert alternation_isolate(poly, guesses) is None
+        calls = []
+        sturm = spectrum_search.sturm_isolate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return sturm(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_search, "sturm_isolate", spy)
+        with pytest.raises(ValueError, match="not real and simple"):
+            certify_matrix(a)
+        assert len(calls) == 1
+
+    def test_sturm_fallback_certifies_when_guesses_miss(self, monkeypatch):
+        # Guesses that do not separate the roots fail to alternate; an
+        # outside matrix then still certifies through Sturm isolation.
+        a = IntMatrix.from_rows([[2, 1], [1, 1]])
+        monkeypatch.setattr(spectrum_search, "_float_roots", lambda poly: [0.0] * poly.degree)
+        cert = certify_matrix(a)
+        assert sorted(cert.roots) == pytest.approx(
+            [(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2], abs=1e-10
+        )
+        assert all(hi - lo < 1e-12 for lo, hi in cert.root_intervals)
+
+    def test_accepted_intervals_are_refined(self):
+        req = SpectrumRequest(n=5, mu=(0.9, 1.3, 1.7), eps=0.5, seed=1)
+        cert = find_matrix(req)
+        assert all(0 <= hi - lo < 1e-12 for lo, hi in cert.root_intervals)
+        for root, (lo, hi) in zip(cert.roots, cert.root_intervals):
+            assert lo <= root <= hi
