@@ -44,10 +44,10 @@ __all__ = ["build_parser", "main", "resolve_threads"]
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
-# Inputs the library rejects, and sizes too large to allocate; each ends the
-# command with exit code 2.
+# Inputs the library rejects, sizes too large to allocate, and output paths
+# that cannot be written (OSError); each ends the command with exit code 2.
 _USAGE_ERRORS = (
-    ValueError, UnknownModel, ModelError, EigenFailure, EmptySection, MemoryError
+    ValueError, UnknownModel, ModelError, EigenFailure, EmptySection, MemoryError, OSError
 )
 _K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
                "rounds once at each value")
@@ -290,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SearchExhausted as exc:
-        _write_report(args, args.command, "not-found",
-                      {"error": str(exc), "search": exc.search.to_dict()})
-        return 3
+        try:
+            return args.func(args)
+        except SearchExhausted as exc:
+            _write_report(args, args.command, "not-found",
+                          {"error": str(exc), "search": exc.search.to_dict()})
+            return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -303,15 +303,29 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
         raise ValueError("depth must be nonnegative")
 
 
-def _apply_map(model: ContactModel, pts: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or len(pts) < 65_536:
-        return model.chart.reduce(model.phi(pts))
-    chunks = np.array_split(pts, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outs = list(
-            pool.map(lambda c: model.chart.reduce(model.phi(c)), chunks)
-        )
-    return np.vstack(outs)
+# _iterate takes this many rows through every step while they sit in cache;
+# export_cloud_csv formats _CSV_ROWS rows per write.
+_BLOCK_ROWS = 8192
+_CSV_ROWS = 4096
+
+
+def _iterate(model: ContactModel, pts: np.ndarray, depth: int, threads: int) -> np.ndarray:
+    """``pts`` pushed through the map ``depth`` times in place, block by block;
+    rows never mix, so neither the block size nor ``threads`` changes them."""
+    def run(start: int) -> None:
+        block = pts[start : start + _BLOCK_ROWS]
+        for _ in range(depth):
+            block = model.chart.reduce(model.phi(block))
+        pts[start : start + _BLOCK_ROWS] = block
+
+    starts = range(0, len(pts), _BLOCK_ROWS)
+    if threads <= 1:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    return pts
 
 
 # Image points whose coordinates round to the same multiple of this are
@@ -359,9 +373,7 @@ def iterate_attractor(
     contains the attractor and converges to it in Hausdorff distance.
     """
     _require_self_map(model, depth)
-    pts = model.chart.sample(seeds, rng_seed)
-    for _ in range(depth):
-        pts = _apply_map(model, pts, threads)
+    pts = _iterate(model, model.chart.sample(seeds, rng_seed), depth, threads)
     pts = _dedup(pts, DEDUP_THRESHOLD)
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
@@ -400,9 +412,7 @@ def section_cloud(
 
     pts = np.tile(block, (branches, 1))
     pts[:, pi_idx] = np.repeat(angles, seeds_per_branch)
-    for _ in range(depth):
-        pts = _apply_map(model, pts, threads)
-    return SkeletonSample(points=pts, depth=depth, chart=chart)
+    return SkeletonSample(points=_iterate(model, pts, depth, threads), depth=depth, chart=chart)
 
 
 def cross_section(
@@ -584,14 +594,18 @@ def export_cloud_csv(
     path: str,
     max_rows: int = 10_000_000,
 ) -> int:
-    """Write a cloud as CSV (one point per row); uniform stride subsampling
-    keeps the file at or below ``max_rows`` rows.  Returns rows written."""
+    """Write a cloud as CSV, one point per row with values as ``%.17g`` (the
+    bytes of ``np.savetxt``); uniform stride subsampling keeps the file at or
+    below ``max_rows`` rows.  Returns rows written."""
     pts = _cloud(points)
     if pts.shape[1] != len(names):
         raise ValueError("column names do not match point dimension")
     if len(pts) > max_rows:
         stride = int(math.ceil(len(pts) / max_rows))
         pts = pts[::stride]
-    header = ",".join(names)
-    np.savetxt(path, pts, delimiter=",", header=header, comments="", fmt="%.17g")
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for block in np.split(pts, range(_CSV_ROWS, len(pts), _CSV_ROWS)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     return len(pts)

@@ -169,6 +169,31 @@ class TestSkeleton:
         assert "clusters" not in json.loads(text)["results"]["section"]
 
 
+class TestSkeletonThreads:
+    @pytest.mark.parametrize("argv", [
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "20000"],
+        ["skeleton", "--model", "jet-space", "--depth", "3", "--seeds", "20000"],
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+         "--section", "0.0", "--csv-out", "cloud.csv"],
+    ], ids=["solenoid-section", "jet-space-section", "solenoid-section-csv"])
+    def test_reports_and_csv_independent_of_threads(self, argv, tmp_path, monkeypatch):
+        # The pool maps row blocks of the section cloud; the bytes must not
+        # depend on it.
+        monkeypatch.chdir(tmp_path)
+        reports, csvs = [], []
+        for threads in ("1", "2"):
+            assert run(argv + ["--seed", "11", "--threads", threads, "--out", "r.json"]) == 0
+            reports.append(json.loads(Path("r.json").read_text()))
+            csvs.append(Path("cloud.csv").read_bytes() if "--csv-out" in argv else b"")
+        one, two = reports
+        assert one["results"] == two["results"]
+        assert csvs[0] == csvs[1]
+        assert (one["threads"], two["threads"]) == (1, 2)
+        for rep in reports:
+            del rep["threads"], rep["inputs"]["threads"]
+        assert one == two
+
+
 class TestDescent:
     def test_solenoid_passes(self, tmp_path):
         out = tmp_path / "r.json"
@@ -261,6 +286,15 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+    def test_unwritable_output_path_exits_2(self, flag, tmp_path, capsys):
+        argv = ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+                flag, str(tmp_path / "missing" / "x")]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_skeleton_rejects_knot_flags(self, tmp_path, capsys):
         # skeleton cannot build the transverse knot, so it has no knot flags.

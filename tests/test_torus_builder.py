@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
+from liouville_forge import torus_builder
 from liouville_forge.contact_kernel import (
     Chart,
     ContactModel,
@@ -373,6 +374,37 @@ def test_skeleton_analysis_independent_of_threads(make, depth, seeds):
     assert np.array_equal(two.sample.points, one.sample.points)
 
 
+def _stepwise(model, pts, depth, threads):
+    """Reference for the block iteration: the whole array, one step at a time."""
+    for _ in range(depth):
+        pts = model.chart.reduce(model.phi(pts))
+    return pts
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "make, cloud",
+    [
+        # 256 branches of 100 seeds: three full blocks and a partial one.
+        (lambda: builtin_model("solenoid"),
+         lambda m, t: section_cloud(m, 8, 100, rng_seed=3, threads=t)),
+        (lambda: builtin_model("jet_space"),
+         lambda m, t: section_cloud(m, 6, 20_000, rng_seed=3, threads=t)),
+        (_cat_map, lambda m, t: iterate_attractor(m, 3, 20_000, rng_seed=3, threads=t)),
+        (lambda: builtin_model("solenoid"),
+         lambda m, t: iterate_attractor(m, 4, 1000, rng_seed=3, threads=t)),
+    ],
+    ids=["solenoid-section-depth8", "jet-space-section", "cat-map-cloud",
+         "smaller-than-a-block"],
+)
+def test_block_iteration_matches_whole_array_steps(make, cloud, threads, monkeypatch):
+    model = make()
+    got = cloud(model, threads).points
+    monkeypatch.setattr(torus_builder, "_iterate", _stepwise)
+    want = cloud(model, 1).points
+    assert np.array_equal(got, want)
+
+
 def _anosov_n3():
     cert = find_matrix(SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7))
     return anosov_model(cert.matrix, cert)
@@ -410,6 +442,25 @@ class TestCsvExport:
         path = tmp_path / "cap.csv"
         rows = export_cloud_csv(pts, ["a", "b"], str(path), max_rows=100)
         assert rows <= 100
+
+    @pytest.mark.parametrize("max_rows", [10_000_000, 3000])
+    def test_bytes_match_savetxt(self, tmp_path, max_rows):
+        # Edge values, integer-valued floats, and a row count that is not a
+        # multiple of the write chunk; max_rows=3000 takes the stride path.
+        rng = np.random.default_rng(0)
+        n = 2 * torus_builder._CSV_ROWS + 123
+        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, 1.0, -2.0, 1e16,
+                   123456789.0, np.inf, -np.inf, 0.1, 1 / 3]
+        pts.flat[: len(special)] = special
+        pts[-7:] = np.arange(-10.0, 11.0).reshape(7, 3)
+        path = tmp_path / "cloud.csv"
+        rows = export_cloud_csv(pts, ["a", "b", "c"], str(path), max_rows=max_rows)
+        kept = pts[:: math.ceil(n / max_rows)]
+        ref = tmp_path / "ref.csv"
+        np.savetxt(str(ref), kept, delimiter=",", header="a,b,c", comments="", fmt="%.17g")
+        assert rows == len(kept)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def _oracle_counts(points, scales):
