@@ -91,6 +91,17 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
         sys.stdout.write(text)
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse ``--out`` or ``--csv-out`` that names a directory or lies in a
+    missing or unwritable one, before any work, so a refused command leaves
+    no file behind."""
+    for path in (getattr(args, "out", None), getattr(args, "csv_out", None)):
+        if path and (
+            os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+        ):
+            raise OSError(f"cannot write {path}: not a file in a writable directory")
+
+
 def _spectrum_request(args: argparse.Namespace) -> SpectrumRequest:
     return SpectrumRequest(
         n=args.n,
@@ -291,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
+            _check_output_paths(args)
             return args.func(args)
         except SearchExhausted as exc:
             _write_report(args, args.command, "not-found",

@@ -234,21 +234,6 @@ class Chart:
             pts = pts[::stride]
         return pts
 
-    def embed_periodic(self, pts: np.ndarray) -> np.ndarray:
-        """Isometric-to-second-order embedding of circle factors into the
-        plane, for the blend roof's interpolation and nearest-neighbor
-        distances at small radii."""
-        cols = []
-        for i, c in enumerate(self.coords):
-            if c.is_periodic:
-                ang = TWO_PI * pts[:, i] / c.period
-                scale = c.period / TWO_PI
-                cols.append(scale * np.cos(ang))
-                cols.append(scale * np.sin(ang))
-            else:
-                cols.append(pts[:, i])
-        return np.column_stack(cols)
-
 
 @dataclass(frozen=True)
 class OneForm:
@@ -515,6 +500,24 @@ def certify_contraction(
 
 # -- built-in models ----------------------------------------------------------
 
+# The built-in 3-D models share two contact forms, by coefficient vector.
+
+def _alpha_1_mx3(p):
+    """(1, -x3, 0): dz - p dq on the jet space, dtheta - y dx on the knot."""
+    out = np.zeros_like(p)
+    out[:, 0] = 1.0
+    out[:, 1] = -p[:, 2]
+    return out
+
+
+def _alpha_x3_1(p):
+    """(x3, 1, 0): dx + y dtheta on the solenoid and the knot's target."""
+    out = np.zeros_like(p)
+    out[:, 0] = p[:, 2]
+    out[:, 1] = 1.0
+    return out
+
+
 def _jet_space_model(params: dict) -> ContactModel:
     chart = Chart(
         (
@@ -523,12 +526,6 @@ def _jet_space_model(params: dict) -> ContactModel:
             Coord.interval("p", -1.0, 1.0),
         )
     )
-
-    def alpha(p):
-        out = np.zeros_like(p)
-        out[:, 0] = 1.0
-        out[:, 1] = -p[:, 2]
-        return out
 
     def forward(p):
         return np.column_stack([p[:, 0] / 2.0, p[:, 1], p[:, 2] / 2.0])
@@ -544,7 +541,7 @@ def _jet_space_model(params: dict) -> ContactModel:
     return ContactModel(
         name="jet_space",
         chart=chart,
-        alpha=OneForm(alpha, "dz - p dq"),
+        alpha=OneForm(_alpha_1_mx3, "dz - p dq"),
         phi=SmoothMap(forward, jacobian, inverse),
         params={"rate": 0.5, "angle_multiplier": 1, **params},
     )
@@ -558,12 +555,6 @@ def _solenoid_model(params: dict) -> ContactModel:
             Coord.interval("y", -1.0, 1.0),
         )
     )
-
-    def alpha(p):
-        out = np.zeros_like(p)
-        out[:, 0] = p[:, 2]
-        out[:, 1] = 1.0
-        return out
 
     def forward(p):
         th = p[:, 0]
@@ -596,7 +587,7 @@ def _solenoid_model(params: dict) -> ContactModel:
     return ContactModel(
         name="solenoid",
         chart=chart,
-        alpha=OneForm(alpha, "dx + y dtheta"),
+        alpha=OneForm(_alpha_x3_1, "dx + y dtheta"),
         phi=SmoothMap(forward, jacobian, inverse),
         params={"rate_x": 0.1, "rate_y": 0.05, "angle_multiplier": 2, **params},
     )
@@ -622,18 +613,6 @@ def _transverse_knot_model(params: dict) -> ContactModel:
             Coord.interval("y_bar", -eps, eps),
         )
     )
-
-    def alpha(p):
-        out = np.zeros_like(p)
-        out[:, 0] = 1.0
-        out[:, 1] = -p[:, 2]
-        return out
-
-    def alpha_bar(p):
-        out = np.zeros_like(p)
-        out[:, 0] = p[:, 2]
-        out[:, 1] = 1.0
-        return out
 
     def forward(p):
         with np.errstate(all="ignore"):
@@ -666,29 +645,29 @@ def _transverse_knot_model(params: dict) -> ContactModel:
     return ContactModel(
         name="transverse_knot",
         chart=chart,
-        alpha=OneForm(alpha, "dtheta - y dx"),
+        alpha=OneForm(_alpha_1_mx3, "dtheta - y dx"),
         phi=SmoothMap(forward, jacobian, inverse),
         params={"c": c, "delta": delta, "eps": eps},
         target_chart=target,
-        target_alpha=OneForm(alpha_bar, "dx_bar + y_bar dtheta_bar"),
+        target_alpha=OneForm(_alpha_x3_1, "dx_bar + y_bar dtheta_bar"),
         g_extension=g_ext,
     )
 
 
-BUILTIN_MODELS = ("jet_space", "solenoid", "transverse_knot")
+_BUILDERS = {
+    "jet_space": _jet_space_model,
+    "solenoid": _solenoid_model,
+    "transverse_knot": _transverse_knot_model,
+}
+BUILTIN_MODELS = tuple(_BUILDERS)
 
 
 def builtin_model(name: str, params: dict | None = None) -> ContactModel:
     """Construct a built-in model with hard-coded analytic Jacobians."""
-    key = name.replace("-", "_")
-    params = dict(params or {})
-    if key == "jet_space":
-        return _jet_space_model(params)
-    if key == "solenoid":
-        return _solenoid_model(params)
-    if key == "transverse_knot":
-        return _transverse_knot_model(params)
-    raise UnknownModel(f"unknown model {name!r}")
+    builder = _BUILDERS.get(name.replace("-", "_"))
+    if builder is None:
+        raise UnknownModel(f"unknown model {name!r}")
+    return builder(dict(params or {}))
 
 
 # -- hyperbolic torus model ---------------------------------------------------

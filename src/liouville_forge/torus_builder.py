@@ -149,33 +149,21 @@ def constant_roof(g0: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda pts: np.full(len(pts), g0)
 
 
-def _sampled_g(base: ContactModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image points, reduced into the codomain chart, and exponents -log f
-    at the samples with a valid conformal factor f."""
-    f, resid, scale, q = model_conformal_factors(base, pts)
-    valid = np.isfinite(f) & (f > 0.0) & (f < 1.0) & (resid <= 1e-6 * scale)
-    if not valid.any():
-        raise ModelError("no valid conformal factors; is the model a contraction?")
-    return q[valid], -np.log(f[valid])
-
-
-def extend_G(
-    base: ContactModel,
-    samples: int = 2048,
-    rng_seed: int = 0,
-    tilt_eps: float = 0.1,
-) -> GExtension:
+def extend_G(base: ContactModel, samples: int = 2048, rng_seed: int = 0) -> GExtension:
     """Extend the contraction exponent off the image of the map.
 
-    Uses the model's own exact extension when it supplies one; otherwise
-    the constant when the sampled exponent varies by at most 1e-9, which is
-    exact for a constant conformal factor; otherwise the blend, which
-    interpolates sampled values over the image and feathers to the mean
-    value outside, clamped to half the minimum.
+    Uses the model's own exact extension when it supplies one, checked
+    against the sampled exponent on the image; otherwise the constant median
+    of the sampled exponent, exact only for a constant conformal factor.
+    ``meta["spread"]`` records how far the samples vary; ``descent_check``
+    decides whether the constant roof works.
     """
-    img_pts, g = _sampled_g(
-        base, np.vstack([base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)])
-    )
+    x = np.vstack([base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)])
+    f, fit_resid, scale, q = model_conformal_factors(base, x)
+    valid = np.isfinite(f) & (f > 0.0) & (f < 1.0) & (fit_resid <= 1e-6 * scale)
+    if not valid.any():
+        raise ModelError("no valid conformal factors; is the model a contraction?")
+    g = -np.log(f[valid])
     codomain = base.codomain
     if base.g_extension is not None:
         ext = base.g_extension
@@ -183,41 +171,13 @@ def extend_G(
         def evaluate_model(pts: np.ndarray) -> np.ndarray:
             return np.asarray(ext(codomain.reduce(pts)), float)
 
-        resid = float(np.max(np.abs(evaluate_model(img_pts) - g)))
+        resid = float(np.max(np.abs(evaluate_model(q[valid]) - g)))
         if resid > 1e-8:
             raise ModelError(f"model extension fails on the image: {resid:.3e}")
         return GExtension(evaluate_model, "model", None, {"extension_residual": resid})
 
-    spread = float(np.ptp(g))
-    if spread <= 1e-9:
-        g0 = float(np.median(g))
-        return GExtension(constant_roof(g0), "constant", g0, {"spread": spread})
-
-    from scipy.interpolate import RBFInterpolator
-    from scipy.spatial import cKDTree
-
-    emb = codomain.embed_periodic(img_pts)
-    neighbors = min(128, len(emb) - 1)
-    rbf = RBFInterpolator(emb, g, kernel="thin_plate_spline", neighbors=neighbors)
-    tree = cKDTree(emb)
-    # Dead zone: inside twice the typical sample spacing we trust the
-    # interpolant outright; the feather to the mean starts beyond it.
-    nn_d, _ = tree.query(emb, k=2)
-    dead = 2.0 * float(np.median(nn_d[:, 1]))
-    g_bar = float(np.mean(g))
-    g_floor = float(np.min(g)) / 2.0
-
-    def evaluate_blend(pts: np.ndarray) -> np.ndarray:
-        e = codomain.embed_periodic(codomain.reduce(pts))
-        val = rbf(e)
-        dist, _ = tree.query(e)
-        t = np.maximum(dist - dead, 0.0) / max(tilt_eps, 1e-9)
-        w = np.exp(-(t**2))
-        return np.maximum(w * val + (1.0 - w) * g_bar, g_floor)
-
-    q_h, g_h = _sampled_g(base, base.chart.sample(256, rng_seed + 101))
-    resid = float(np.max(np.abs(evaluate_blend(q_h) - g_h)))
-    return GExtension(evaluate_blend, "blend", None, {"extension_residual": resid})
+    g0 = float(np.median(g))
+    return GExtension(constant_roof(g0), "constant", g0, {"spread": float(np.ptp(g))})
 
 
 def build_mapping_torus(
@@ -227,9 +187,7 @@ def build_mapping_torus(
     rng_seed: int = 0,
 ) -> MappingTorusModel:
     return MappingTorusModel(
-        base=base,
-        G=extend_G(base, samples=samples, rng_seed=rng_seed, tilt_eps=tilt_eps),
-        tilt_eps=tilt_eps,
+        base=base, G=extend_G(base, samples=samples, rng_seed=rng_seed), tilt_eps=tilt_eps
     )
 
 
@@ -535,6 +493,8 @@ def skeleton_analysis(
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
+    if not math.isfinite(theta0):
+        raise ValueError("theta0 must be finite")
     chart = model.chart
     solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
     if solenoid_like:

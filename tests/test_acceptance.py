@@ -28,6 +28,7 @@ from liouville_forge.torus_builder import (
     MappingTorusModel,
     box_counting_dimension,
     build_mapping_torus,
+    constant_roof,
     count_clusters,
     cross_section,
     descent_check,
@@ -170,11 +171,7 @@ def test_criterion_5_descent():
             assert descent_check(torus, samples=500, tol=1e-9) < 1e-9
         wrong = MappingTorusModel(
             models[0],
-            GExtension(
-                lambda p: np.full(np.atleast_2d(p).shape[0], math.log(9.0)),
-                "forced",
-                math.log(9.0),
-            ),
+            GExtension(constant_roof(math.log(9.0)), "forced", math.log(9.0)),
         )
         with pytest.raises(DescentViolation) as err:
             descent_check(wrong, samples=300)

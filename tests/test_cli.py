@@ -253,11 +253,16 @@ class TestUsageErrors:
          "--scales", "nan", "0.1"],
         # 2**40 section branches from 10 seeds; rejected before allocating.
         ["skeleton", "--model", "solenoid", "--depth", "40", "--seeds", "10"],
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+         "--section", "nan"],
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+         "--section", "inf"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
             "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan",
-            "skeleton-seeds-below-branches"])
+            "skeleton-seeds-below-branches", "skeleton-section-nan",
+            "skeleton-section-inf"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
@@ -287,14 +292,21 @@ class TestUsageErrors:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
-    def test_unwritable_output_path_exits_2(self, flag, tmp_path, capsys):
-        argv = ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
-                flag, str(tmp_path / "missing" / "x")]
+    @pytest.mark.parametrize("outputs", [
+        ["--out", "missing/x"],
+        ["--csv-out", "missing/x"],
+        # A writable CSV path must not be written when the report cannot be.
+        ["--csv-out", "ok.csv", "--out", "missing/x"],
+        ["--csv-out", "ok.csv", "--out", "."],
+    ], ids=["--out", "--csv-out", "csv-ok-out-missing", "csv-ok-out-is-dir"])
+    def test_unwritable_output_path_exits_2(self, outputs, tmp_path, capsys):
+        argv = ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000"]
+        argv += [a if a.startswith("--") else str(tmp_path / a) for a in outputs]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_skeleton_rejects_knot_flags(self, tmp_path, capsys):
         # skeleton cannot build the transverse knot, so it has no knot flags.
@@ -307,8 +319,8 @@ class TestUsageErrors:
 
 class TestImports:
     def test_find_matrix_imports_no_scipy(self, tmp_path):
-        # scipy is imported only where clusters are counted or a blend roof
-        # is fitted; a module-level import would cost every command.
+        # scipy is imported only where clusters are counted; a module-level
+        # import would cost every command.
         script = (
             "import sys\n"
             "import liouville_forge.cli\n"

@@ -35,7 +35,6 @@ from liouville_forge.torus_builder import (
     cross_section,
     descent_check,
     export_cloud_csv,
-    extend_G,
     iterate_attractor,
     section_cloud,
     skeleton_analysis,
@@ -115,16 +114,6 @@ class TestExtendG:
         torus = build_mapping_torus(anosov_model(cert.matrix, cert))
         assert torus.G.constant == pytest.approx(0.9624236501192069, abs=1e-10)
 
-    def test_blend_mode_extends_over_image(self):
-        model = variable_rate_model()
-        g_ext = extend_G(model, samples=4096, rng_seed=0)
-        assert g_ext.mode == "blend"
-        # held-out extension property G(phi(p)) = g(p)
-        assert g_ext.meta["extension_residual"] < 1e-3
-        # positive everywhere, including far from the image
-        far = model.chart.sample(500, rng_seed=3)
-        assert np.all(g_ext(far) > 0.0)
-
     def test_model_mode_for_transverse_knot(self):
         torus = build_mapping_torus(builtin_model("transverse_knot"))
         assert torus.G.mode == "model"
@@ -146,12 +135,29 @@ class TestDescent:
         # scale |1 - 10/9| times the form magnitude
         assert err.value.residual > 1e-2
 
-    def test_blend_mode_descends(self):
-        # Seeds decorrelated so the check does not revisit the RBF nodes.
-        model = variable_rate_model()
-        torus = build_mapping_torus(model, samples=4096, rng_seed=0)
-        assert torus.G.mode == "blend"
-        assert descent_check(torus, samples=400, tol=5e-3, rng_seed=11) < 5e-3
+    @pytest.mark.parametrize("check_seed", [0, 11])
+    def test_varying_factor_gets_failing_constant_roof(self, check_seed):
+        # A constant roof cannot glue a varying factor; the check must say
+        # so, also when it samples the very points the roof was built from.
+        torus = build_mapping_torus(variable_rate_model(), rng_seed=0)
+        assert torus.G.mode == "constant"
+        assert torus.G.meta["spread"] > 0.1
+        with pytest.raises(DescentViolation):
+            descent_check(torus, rng_seed=check_seed)
+
+    def test_varying_factor_descends_with_exact_extension(self):
+        # G(q) = -log h'(h^-1(q_z)) meets G(phi(x)) = -log h'(z) everywhere.
+        def g_ext(q):
+            target = 2.2 * q[:, 0]
+            z = target.copy()
+            for _ in range(50):
+                z -= (z + 0.3 * np.sin(z) - target) / (1.0 + 0.3 * np.cos(z))
+            return -np.log((1.0 + 0.3 * np.cos(z)) / 2.2)
+
+        model = replace(variable_rate_model(), g_extension=g_ext)
+        torus = build_mapping_torus(model)
+        assert torus.G.mode == "model"
+        assert descent_check(torus, samples=500, rng_seed=11) < 1e-9
 
     def test_transverse_knot_descends(self):
         torus = build_mapping_torus(builtin_model("transverse_knot"))
