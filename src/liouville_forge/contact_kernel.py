@@ -17,15 +17,15 @@ conformal factor off it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .exactlin import IntMatrix, determinant
+from .exactlin import IntMatrix, IntPolynomial, refine_root, trace_recursion
 from .spectrum_search import SpectrumCertificate
 
 __all__ = [
@@ -61,7 +61,8 @@ class UnknownModel(Exception):
 
 
 class EigenFailure(Exception):
-    """Numeric eigendata does not satisfy the required pullback relations."""
+    """No anosov model: the certificate lacks the full spectrum, or its
+    smallest-magnitude eigenvalue is not positive or not dominated."""
 
 
 class ModelError(Exception):
@@ -228,10 +229,14 @@ class Chart:
                 axes.append([0.0, c.period / 4, c.period / 2, 3 * c.period / 4])
             else:
                 axes.append([c.lo, 0.5 * (c.lo + c.hi), c.hi])
-        pts = np.array(list(itertools.product(*axes)))
-        if len(pts) > cap:
-            stride = int(np.ceil(len(pts) / cap))
-            pts = pts[::stride]
+        # Every stride-th row of the product of the axes, last coordinate
+        # fastest, from Python-int indices: it passes 2**63 rows at d = 37.
+        total = math.prod(len(a) for a in axes)
+        idx = np.array(range(0, total, -(-total // cap)), dtype=object)
+        pts = np.empty((len(idx), self.dim))
+        for j in reversed(range(self.dim)):
+            pts[:, j] = np.asarray(axes[j])[(idx % len(axes[j])).astype(np.intp)]
+            idx //= len(axes[j])
         return pts
 
 
@@ -672,34 +677,32 @@ def builtin_model(name: str, params: dict | None = None) -> ContactModel:
 
 # -- hyperbolic torus model ---------------------------------------------------
 
-def _int_inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a determinant +1 integer matrix via the adjugate."""
-    n = A.n
-    det = determinant(A)
-    if det != 1:
-        raise ValueError("matrix determinant must be exactly 1")
-    rows = A.to_lists()
-
-    def minor(r, c):
-        sub = [
-            [rows[i][j] for j in range(n) if j != c] for i in range(n) if i != r
-        ]
-        if not sub:
-            return 1
-        return determinant(IntMatrix.from_rows(sub))
-
-    adj = [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(adj)
+def _left_eigenvector(poly: IntPolynomial, ms: list, interval: tuple, lam: float) -> np.ndarray:
+    """Unit left eigenvector, first nonzero entry positive, for the root in
+    ``interval``: the largest row of b^(n-1) adj(a/b I - A) = sum_k
+    a^(n-k) b^(k-1) M_k in exact integers at the midpoint a/b of the interval
+    refined to width |lam| 2^-60, divided by its largest |entry| in
+    correctly rounded int/int division."""
+    lo, hi = refine_root(poly, tuple(map(Fraction, interval)), Fraction(abs(lam)) / 2**60)
+    mid = (lo + hi) / 2
+    a, b, n = mid.numerator, mid.denominator, len(ms)
+    w = [a ** (n - k) * b ** (k - 1) for k in range(1, n + 1)]
+    adj = [[sum(wk * m[i][j] for wk, m in zip(w, ms)) for j in range(n)] for i in range(n)]
+    row = max(adj, key=lambda r: sum(v * v for v in r))
+    top = max(abs(v) for v in row)
+    v = np.array([x / top for x in row])
+    v /= np.linalg.norm(v)
+    return -v if v[np.flatnonzero(np.abs(v) > 1e-9)[0]] < 0 else v
 
 
 def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
     """Contact model on disk x torus from a certified all-real-spectrum
-    matrix whose smallest-magnitude eigenvalue is positive.
+    unit-determinant matrix whose smallest-magnitude eigenvalue is positive.
 
-    The form coefficients are the left eigenvectors (eigenvectors of the
-    transpose), normalized to unit norm with first nonzero component
-    positive; the map contracts each disk coordinate by the ratio of the
-    small eigenvalue to the paired one and acts by the matrix on the torus.
+    The form coefficients are exact left eigenvectors, rows of the trace
+    recursion's adj(lam I - A) rounded once to unit floats.  The map
+    contracts each disk coordinate by lambda_n / lambda_i and acts on the
+    torus by A, its inverse by A^-1 = (-1)^(n+1) M_n from the same recursion.
     """
     n = A.n
     roots = np.asarray(cert.roots, dtype=float)
@@ -711,32 +714,13 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
         raise EigenFailure("smallest-magnitude eigenvalue must be positive")
     if abs(roots[order[1]]) <= lam_n:
         raise EigenFailure("smallest eigenvalue is not strictly dominated")
-    others = [int(i) for i in order[1:]][::-1]  # descending magnitude
-    lam_list = [float(roots[i]) for i in others] + [lam_n]
-
+    poly, ms = trace_recursion(A)
+    if poly.coeffs[0] != (-1) ** n:
+        raise ValueError("matrix determinant must be exactly 1")
+    idx = [int(i) for i in order[1:]][::-1] + [int(order[0])]  # beta_1..beta_n, descending
+    B = np.vstack([_left_eigenvector(poly, ms, cert.root_intervals[i], roots[i]) for i in idx])
+    rates = lam_n / roots[idx[:-1]]
     a_float = np.array(A.to_lists(), dtype=float)
-    eigvals, eigvecs = np.linalg.eig(a_float.T)
-    used: list[int] = []
-    betas = []
-    for lam in lam_list:
-        idx = min(
-            (i for i in range(n) if i not in used),
-            key=lambda i: abs(eigvals[i] - lam),
-        )
-        used.append(idx)
-        v = eigvecs[:, idx]
-        if np.max(np.abs(v.imag)) > 1e-10:
-            raise EigenFailure("complex eigenvector for a certified real eigenvalue")
-        b = v.real.astype(float)
-        b = b / np.linalg.norm(b)
-        lead = b[np.flatnonzero(np.abs(b) > 1e-9)[0]]
-        if lead < 0:
-            b = -b
-        if np.max(np.abs(a_float.T @ b - lam * b)) > 1e-8 * (1.0 + abs(lam)):
-            raise EigenFailure("eigenvector residual exceeds 1e-8")
-        betas.append(b)
-    B = np.vstack(betas)  # rows: beta_1..beta_{n-1}, beta_n
-    rates = lam_n / np.array(lam_list[:-1])
 
     coords = tuple(
         Coord.interval(f"y{i + 1}", -1.0, 1.0) for i in range(n - 1)
@@ -762,7 +746,7 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
     def jacobian(p):
         return np.broadcast_to(jac_const, (len(p), d, d)).copy()
 
-    a_inv = np.array(_int_inverse_unimodular(A).to_lists(), dtype=float)
+    a_inv = (-1) ** (n + 1) * np.array(ms[-1], dtype=float)
 
     def inverse(p):
         out = np.empty_like(p)

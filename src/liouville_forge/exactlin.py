@@ -1,7 +1,7 @@
 """Exact integer linear algebra and certified real-root isolation.
 
 Everything here runs over arbitrary-precision integers or exact rationals:
-companion matrices, characteristic polynomials (trace recursion),
+companion matrices, the trace recursion for p(x) and adj(xI - A),
 determinants (fraction-free elimination), the exact sign of a polynomial at
 a rational point (integer Horner), root isolation by sign alternation around
 supplied guesses or by Sturm sequences, and bisection refinement.  A guess
@@ -23,6 +23,7 @@ __all__ = [
     "SquareFreeViolation",
     "NotIsolating",
     "companion_matrix",
+    "trace_recursion",
     "char_poly",
     "determinant",
     "sign_at",
@@ -136,18 +137,20 @@ def _mat_mul(a_rows: list[list[tuple[int, int]]], b: list[list[int]]) -> list[li
     return [[sum(v * b[t][j] for t, v in row) for j in range(n)] for row in a_rows]
 
 
-def char_poly(A: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial via the trace recursion.
+def trace_recursion(A: IntMatrix) -> tuple[IntPolynomial, list[list[list[int]]]]:
+    """Characteristic polynomial p of A and the matrices M_1 = I, ..., M_n of
+    the trace (Faddeev-LeVerrier) recursion, adj(xI - A) = sum_k M_k x^(n-k).
 
-    Intermediate divisions are by construction exact over the integers.
+    The divisions c_k = -tr(A M_k) / k are exact over the integers.  A
+    unit-determinant A has the inverse (-1)^(n+1) M_n, and every row of
+    adj(lam I - A) at an eigenvalue lam is a left eigenvector.
     """
     n = A.n
     a = [[(t, v) for t, v in enumerate(row) if v] for row in A.entries]
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = [row[:] for row in ident]
-    am = _mat_mul(a, m)
+    ms = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
+    am = _mat_mul(a, ms[0])
     for step in range(1, n + 1):
         tr = sum(am[i][i] for i in range(n))
         if tr % step != 0:
@@ -156,9 +159,14 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
         coeffs[n - step] = c
         if step == n:
             break
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        am = _mat_mul(a, m)
-    return IntPolynomial(tuple(coeffs))
+        ms.append([[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)])
+        am = _mat_mul(a, ms[-1])
+    return IntPolynomial(tuple(coeffs)), ms
+
+
+def char_poly(A: IntMatrix) -> IntPolynomial:
+    """Exact monic characteristic polynomial via the trace recursion."""
+    return trace_recursion(A)[0]
 
 
 def determinant(A: IntMatrix) -> int:

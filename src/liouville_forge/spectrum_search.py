@@ -185,11 +185,11 @@ class SpectrumCertificate:
 
     ``roots`` and ``root_intervals`` are ordered by role: the n-2 middle
     eigenvalues matched to the request, then the large one, then the small
-    one.  ``k`` collects the elementary symmetric values of the full
-    spectrum as exact integers (the last, the determinant, is always 1 and
-    not stored).  ``search`` carries the counters of the ``find_matrix``
-    call that found the matrix (None from ``certify_matrix``); ``to_dict``
-    leaves it out.
+    one; each float interval holds its root.  ``k`` collects the elementary
+    symmetric values of the full spectrum as exact integers (the last, the
+    determinant, is always 1 and not stored).  ``search`` carries the
+    counters of the ``find_matrix`` call that found the matrix (None from
+    ``certify_matrix``); ``to_dict`` leaves it out.
     """
 
     matrix: IntMatrix
@@ -487,6 +487,13 @@ def _verdict(
     return True if hi < bound else False if lo >= bound else None
 
 
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """Float ends of [lo, hi] rounded outward, so that they still hold it."""
+    flo, fhi = float(lo), float(hi)
+    return (math.nextafter(flo, -math.inf) if Fraction(flo) > lo else flo,
+            math.nextafter(fhi, math.inf) if Fraction(fhi) < hi else fhi)
+
+
 def _certificate_from_matrix(
     A: IntMatrix, mu: Sequence[float], eps: float | None, sturm_fallback: bool = False
 ) -> SpectrumCertificate:
@@ -549,7 +556,7 @@ def _certificate_from_matrix(
     mids = [float((a + b) / 2) for a, b in refined]
     order = middle + [large, small]
     roots = tuple(mids[i] for i in order)
-    intervals = tuple((float(refined[i][0]), float(refined[i][1])) for i in order)
+    intervals = tuple(_outward(*refined[i]) for i in order)
 
     mid_sigma = elementary_symmetric(roots[: n - 2])
     lam_l, lam_s = roots[n - 2], roots[n - 1]

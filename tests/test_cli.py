@@ -19,6 +19,20 @@ def run(argv):
         return exc.code
 
 
+def _run_capped(argv, tmp_path):
+    """The CLI in a subprocess under a 3 GB address-space cap."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+    src = str(Path(liouville_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "liouville_forge.cli", *argv, "--out", "r.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        preexec_fn=cap_address_space, timeout=120,
+    )
+
+
 class TestFindMatrix:
     def test_n2_default(self, tmp_path):
         out = tmp_path / "r.json"
@@ -95,6 +109,15 @@ class TestCertify:
 
     def test_anosov_wrong_mu_count(self):
         assert run(["certify", "--model", "anosov", "--n", "3"]) == 2
+
+    def test_anosov_n9_gives_a_verdict_under_address_cap(self, tmp_path):
+        # The full probe product at n = 9 needed more than 3 GB (exit 2).
+        argv = ["certify", "--model", "anosov", "--n", "9", "--mu", "0.6", "0.8", "1.0",
+                "1.2", "1.4", "1.6", "1.8", "--eps", "0.5", "--samples", "2000"]
+        proc = _run_capped(argv, tmp_path)
+        assert proc.returncode in (0, 1), proc.stderr
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["results"]["contraction_certificate"]["d3"]["pass"]
 
     def test_anosov_eigen_failure_usage_error(self, capsys):
         # mu = -1 gives a certified matrix whose smallest eigenvalue is
@@ -277,16 +300,7 @@ class TestUsageErrors:
     def test_count_too_large_to_allocate_exits_2(self, argv, tmp_path):
         # Hundreds of TiB of points; the 3 GB address-space cap makes the
         # allocation fail at once on any machine.
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
-
-        src = str(Path(liouville_forge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "liouville_forge.cli", *argv, "--out", "r.json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            preexec_fn=cap_address_space, timeout=120,
-        )
+        proc = _run_capped(argv, tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr

@@ -1,10 +1,17 @@
+import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import liouville_forge
 from liouville_forge.contact_kernel import (
     Chart,
     Coord,
@@ -335,6 +342,16 @@ class TestAnosovEigenforms:
             pb = pullback(torus_map, form, pts, None)[0]
             assert np.max(np.abs(pb - lam * beta)) < 1e-10
 
+    def test_exact_factor_constant_on_large_entries(self):
+        # Entries up to 900638 and lambda_n = 2.5e-6: the float eigenvectors
+        # of A^T spread the sampled exponent by 1.9e-3, although the exact
+        # factor is the constant lambda_n.
+        req = SpectrumRequest(n=6, mu=(1.85, 1.77, 1.58, 1.95), eps=0.4, seed=6)
+        cert = find_matrix(req)
+        model = anosov_model(cert.matrix, cert)
+        f = model_conformal_factors(model, model.chart.sample(1000))[0]
+        assert np.ptp(-np.log(f)) < 1e-6
+
     def test_rejects_negative_small_eigenvalue(self):
         # spectrum {-1/2, -2}: real and simple, but smallest-magnitude
         # eigenvalue is negative.
@@ -391,7 +408,46 @@ class TestHalton:
             assert ours.flags.f_contiguous == ref.flags.f_contiguous
 
 
+def _anosov_chart(n):
+    return Chart(tuple(Coord.interval(f"y{i}", -1.0, 1.0) for i in range(n - 1))
+                 + tuple(Coord.circle(f"x{i}", 1.0) for i in range(n)))
+
+
 class TestChart:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_probe_points_match_full_product(self, n):
+        # Reference: every stride-th row of the whole product.
+        chart = _anosov_chart(n)
+        axes = [[0.0, c.period / 4, c.period / 2, 3 * c.period / 4] if c.is_periodic
+                else [c.lo, 0.5 * (c.lo + c.hi), c.hi] for c in chart.coords]
+        full = np.array(list(itertools.product(*axes)))
+        for cap in (512, 8192):
+            want = full[::int(np.ceil(len(full) / cap))] if len(full) > cap else full
+            np.testing.assert_array_equal(chart.probe_points(cap), want)
+
+    def test_probe_points_past_int64_rows(self):
+        # n = 19: 3^18 * 4^19 rows in the product, more than 2**63.  Run in a
+        # subprocess under a 3 GB address-space cap, so that building the
+        # full product fails at once instead of filling the machine.
+        script = (
+            "import numpy as np\n"
+            "from liouville_forge.contact_kernel import Chart, Coord\n"
+            "chart = Chart(tuple(Coord.interval(f'y{i}', -1.0, 1.0) for i in range(18))\n"
+            "              + tuple(Coord.circle(f'x{i}', 1.0) for i in range(19)))\n"
+            "pts = chart.probe_points()\n"
+            "assert pts.shape == (8192, 37), pts.shape\n"
+            "assert np.all(pts[:, 18:] < 1.0) and np.all(np.abs(pts[:, :18]) <= 1.0)\n"
+        )
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        src = str(Path(liouville_forge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, preexec_fn=cap_address_space, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             Chart((Coord.interval("a", 0, 1), Coord.interval("b", 0, 1)))

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from liouville_forge.exactlin import (
     IntMatrix,
@@ -19,7 +20,9 @@ from liouville_forge.exactlin import (
     refine_root,
     sign_at,
     sturm_isolate,
+    trace_recursion,
 )
+from liouville_forge.spectrum_search import SpectrumRequest, find_matrix
 
 GOLDEN_PLUS = (3 + math.sqrt(5)) / 2  # 2.618033988749895
 GOLDEN_MINUS = (3 - math.sqrt(5)) / 2  # 0.3819660112501051
@@ -104,6 +107,36 @@ class TestCharPoly:
             rows = rng.integers(-9, 10, size=(n, n)).tolist()
             a = IntMatrix.from_rows(rows)
             assert char_poly(a).coeffs == _sympy_charpoly(rows)
+
+
+class TestTraceRecursion:
+    def test_adjugate_random_vs_sympy(self):
+        # adj(xI - A) = sum_k M_k x^(n-k), and p is char_poly's.
+        x = sympy.symbols("x")
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            n = int(rng.integers(2, 6))
+            rows = rng.integers(-9, 10, size=(n, n)).tolist()
+            poly, ms = trace_recursion(IntMatrix.from_rows(rows))
+            assert poly.coeffs == _sympy_charpoly(rows)
+            assert len(ms) == n
+            got = sum((sympy.Matrix(m) * x ** (n - k) for k, m in enumerate(ms, 1)),
+                      sympy.zeros(n, n))
+            # sympy's adjugate over Z[x]; Matrix.adjugate gives the same, slower.
+            want = DomainMatrix.from_Matrix(x * sympy.eye(n) - sympy.Matrix(rows)).adjugate()
+            assert (got - want.to_Matrix()).expand() == sympy.zeros(n, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+    def test_last_matrix_gives_inverse(self, n):
+        # (-1)^(n+1) M_n A = I for unit-determinant A: the cat map at n = 2,
+        # find_matrix outputs above.
+        if n == 2:
+            a = IntMatrix.from_rows([[2, 1], [1, 1]])
+        else:
+            req = SpectrumRequest(n=n, mu=tuple(np.linspace(-1.5, 1.5, n - 2)), eps=0.5)
+            a = find_matrix(req).matrix
+        inv = (-1) ** (n + 1) * sympy.Matrix(trace_recursion(a)[1][-1])
+        assert inv * sympy.Matrix(a.to_lists()) == sympy.eye(n)
 
 
 class TestDeterminant:

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_forge import spectrum_search
-from liouville_forge.exactlin import IntMatrix, alternation_isolate, char_poly, determinant
+from liouville_forge.exactlin import (
+    IntMatrix,
+    alternation_isolate,
+    char_poly,
+    determinant,
+    sign_at,
+)
 from liouville_forge.spectrum_search import (
     _SCAN_CHUNK,
     REJECT_REASONS,
@@ -495,6 +501,34 @@ class TestFindMatrix:
             SpectrumRequest(n=3, mu=(1.0, 2.0), eps=0.5)
         with pytest.raises(ValueError):
             SpectrumRequest(n=2, eps=-1.0)
+
+
+def _assert_intervals_hold_roots(cert):
+    poly = char_poly(cert.matrix)
+    for lo, hi in cert.root_intervals:
+        ends = [Fraction(lo), Fraction(hi)]
+        s_lo, s_hi = (sign_at(poly, e.numerator, e.denominator) for e in ends)
+        assert lo <= hi and s_lo * s_hi <= 0, (lo, hi)
+
+
+class TestReportedIntervals:
+    def test_large_root_keeps_its_sign_change(self):
+        # Rounded to nearest, both ends of the large root's interval read
+        # 10233.057111812324 and p is positive at both.
+        cert = find_matrix(SpectrumRequest(n=6, mu=(1.85, 1.77, 1.58, 1.95), eps=0.4, seed=0))
+        lo, hi = cert.root_intervals[4]
+        assert lo < 10233.057111812324 < hi
+        _assert_intervals_hold_roots(cert)
+
+    @given(st.integers(3, 12), st.lists(st.floats(-1.9, 1.9), min_size=10, max_size=10),
+           st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_interval_changes_sign(self, n, mu, seed):
+        try:
+            cert = find_matrix(SpectrumRequest(n=n, mu=tuple(mu[: n - 2]), eps=0.5, seed=seed))
+        except SearchExhausted:
+            return
+        _assert_intervals_hold_roots(cert)
 
 
 class TestIntervalVerdict:
