@@ -13,6 +13,13 @@ returns ``(N, d)`` forms or images, ``(N, d, d)`` Jacobians and ``(N,)``
 scalars.  ``pullback`` is the one path from a map and a form to the pulled
 back form; ``model_conformal_factors`` and ``certify_contraction`` read the
 conformal factor off it.
+
+``certify_contraction`` and ``torus_builder.descent_check`` run their samples
+through ``pullback`` in row blocks of ``_BLOCK_ROWS``, so each block's
+temporaries stay in cache and only per-row results (margins, determinants,
+factors) are kept for the whole batch: memory is O(N d), and no ``(N, d, d)``
+Jacobian is held.  A block whose Jacobians are all equal takes one
+determinant, of the first, for every row.
 """
 
 from __future__ import annotations
@@ -178,7 +185,11 @@ class Chart:
         """Wrap periodic coordinates into [0, period)."""
         out = np.array(pts, dtype=float, copy=True)
         for i in self.periodic_idx:
-            out[:, i] = np.mod(out[:, i], self.coords[i].period)
+            period = self.coords[i].period
+            col = np.mod(out[:, i], period)
+            # mod rounds a tiny negative coordinate up to the period itself.
+            col[col == period] = 0.0
+            out[:, i] = col
         return out
 
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
@@ -261,8 +272,10 @@ class SmoothMap:
 
     ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points.
     ``forward`` returns (N, dim) points and ``jacobian`` (N, dim, dim)
-    Jacobians; ``inverse`` returns all B branches of the inverse as an
-    (N, B, dim) array, in or out of the chart.
+    Jacobians, which an affine map may return as a read-only
+    ``np.broadcast_to`` view of its one constant matrix; ``inverse`` returns
+    all B branches of the inverse as an (N, B, dim) array, in or out of the
+    chart.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -431,6 +444,26 @@ def contact_check(form: OneForm, pts: np.ndarray) -> np.ndarray:
 
 # -- contraction certification ------------------------------------------------
 
+# Rows per block for certify_contraction, descent_check and attractor
+# iteration: a block's temporaries stay in cache.
+_BLOCK_ROWS = 8192
+
+
+def _in_row_blocks(fn: Callable, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``fn`` applied to ``pts`` in blocks of ``_BLOCK_ROWS`` rows.  ``fn``
+    returns a tuple of per-row arrays; each is joined over the blocks."""
+    parts = [fn(pts[i : i + _BLOCK_ROWS]) for i in range(0, len(pts), _BLOCK_ROWS)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _determinants(jac: np.ndarray) -> np.ndarray:
+    """Determinants of (N, d, d) Jacobians.  When every Jacobian equals the
+    first, the one LAPACK call on the first, broadcast: the same bits."""
+    if (jac == jac[:1]).all():
+        return np.broadcast_to(np.linalg.det(jac[:1]), len(jac))
+    return np.linalg.det(jac)
+
+
 def certify_contraction(
     model: ContactModel,
     samples: int = 10_000,
@@ -446,12 +479,27 @@ def certify_contraction(
     pts = np.vstack([chart.sample(samples, rng_seed), chart.probe_points()])
     notes: list[str] = []
 
-    pb, q, jac = pullback(model.phi, model.codomain_alpha, pts, codomain)
-    finite_img = np.all(np.isfinite(q), axis=1)
+    inverse = model.phi.inverse
+
+    def block(x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-row evidence: finite image, margin, determinant, f / resid /
+        scale, and the in-chart inverse branch count of each finite image."""
+        pb, q, jac = pullback(model.phi, model.codomain_alpha, x, codomain)
+        finite = np.all(np.isfinite(q), axis=1)
+        branches = np.empty(0, dtype=np.intp)
+        with np.errstate(all="ignore"):
+            dets = _determinants(jac)
+            if inverse is not None:
+                pre = inverse(q[finite])
+                inside = chart.contains(pre.reshape(-1, chart.dim)).reshape(pre.shape[:2])
+                branches = inside.sum(axis=1)
+        return (finite, codomain.interior_margins(q), dets, branches,
+                *_proportionality(pb, model.alpha(x)))
+
+    finite_img, margins, dets, branches, f, resid, scale = _in_row_blocks(block, pts)
     if not finite_img.all():
         notes.append(f"{int((~finite_img).sum())} samples mapped to non-finite points")
 
-    margins = codomain.interior_margins(q)
     d1_min = float(np.min(margins))
     d1 = {
         "min_margin": d1_min,
@@ -459,25 +507,19 @@ def certify_contraction(
         "pass": bool(finite_img.all() and d1_min >= INTERIOR_MARGIN),
     }
 
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(jac)
     finite_det = np.isfinite(dets)
     det_min = float(np.min(np.abs(dets[finite_det]))) if finite_det.any() else 0.0
     collisions = None
-    if model.phi.inverse is None:
+    if inverse is None:
         notes.append("injectivity not checked: the map has no inverse")
     else:
-        with np.errstate(all="ignore"):
-            pre = model.phi.inverse(q[finite_img])
-        inside = chart.contains(pre.reshape(-1, chart.dim)).reshape(pre.shape[:2])
-        collisions = int(np.count_nonzero(inside.sum(axis=1) != 1))
+        collisions = int(np.count_nonzero(branches != 1))
     d2 = {
         "min_abs_det": det_min,
         "collisions": collisions,
         "pass": bool(finite_det.all() and det_min >= tol and collisions == 0),
     }
 
-    f, resid, scale = _proportionality(pb, model.alpha(pts))
     ok = np.isfinite(f) & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
     valid = np.isfinite(f) & (f > 0.0)
     g = -np.log(f[valid]) if valid.any() else np.array([])
@@ -538,7 +580,7 @@ def _jet_space_model(params: dict) -> ContactModel:
     jac_const = np.diag([0.5, 1.0, 0.5])
 
     def jacobian(p):
-        return np.broadcast_to(jac_const, (len(p), 3, 3)).copy()
+        return np.broadcast_to(jac_const, (len(p), 3, 3))
 
     def inverse(p):
         return np.column_stack([2.0 * p[:, 0], p[:, 1], 2.0 * p[:, 2]])[:, None, :]
@@ -744,7 +786,7 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
     jac_const[n - 1 :, n - 1 :] = a_float
 
     def jacobian(p):
-        return np.broadcast_to(jac_const, (len(p), d, d)).copy()
+        return np.broadcast_to(jac_const, (len(p), d, d))
 
     a_inv = (-1) ** (n + 1) * np.array(ms[-1], dtype=float)
 

@@ -19,6 +19,8 @@ from .contact_kernel import (
     Chart,
     ContactModel,
     ModelError,
+    _BLOCK_ROWS,
+    _in_row_blocks,
     halton,
     model_conformal_factors,
     pullback,
@@ -202,7 +204,9 @@ def descent_check(
     """Max descent residual |e^(s+G(phi x)) phi^*alpha - e^s alpha| over
     sampled (s, x); raises unless it is below tolerance (so a NaN residual or
     tolerance fails).  The form e^s alpha has no ds term, so dG never enters
-    its pullback through the gluing map and only the Jacobian of phi does."""
+    its pullback through the gluing map and only the Jacobian of phi does.
+    The samples go through phi in row blocks, keeping each row's pulled-back
+    form and roof value only."""
     if samples < 1:
         raise ValueError("samples must be positive")
     base = model.base
@@ -212,8 +216,12 @@ def descent_check(
     u = halton(samples, chart.dim + 1, rng_seed)
     lo, hi = chart.lows(), chart.highs()
     x = lo + u[:, : chart.dim] * (hi - lo)
-    pb, q, _ = pullback(base.phi, base.codomain_alpha, x, base.codomain)
-    g = model.G(q)
+
+    def block(xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pb, q, _ = pullback(base.phi, base.codomain_alpha, xb, base.codomain)
+        return pb, model.G(q)
+
+    pb, g = _in_row_blocks(block, x)
     s_ref = model.G.constant if model.G.constant is not None else float(np.mean(g))
     s = u[:, chart.dim] * s_ref
     defect = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
@@ -261,9 +269,8 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
         raise ValueError("depth must be nonnegative")
 
 
-# _iterate takes this many rows through every step while they sit in cache;
+# _iterate takes _BLOCK_ROWS rows through every step while they sit in cache;
 # export_cloud_csv formats _CSV_ROWS rows per write.
-_BLOCK_ROWS = 8192
 _CSV_ROWS = 4096
 
 

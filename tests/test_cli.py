@@ -19,10 +19,10 @@ def run(argv):
         return exc.code
 
 
-def _run_capped(argv, tmp_path):
-    """The CLI in a subprocess under a 3 GB address-space cap."""
+def _run_capped(argv, tmp_path, cap=3 * 10**9):
+    """The CLI in a subprocess under an address-space cap of ``cap`` bytes."""
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(liouville_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -118,6 +118,16 @@ class TestCertify:
         assert proc.returncode in (0, 1), proc.stderr
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["results"]["contraction_certificate"]["d3"]["pass"]
+
+    def test_anosov_million_samples_under_700_mb(self, tmp_path):
+        # Row blocks hold per-row results only: the address space peaks near
+        # 330 MiB, where the whole (N, 7, 7) Jacobian batch took near 1 GiB.
+        argv = ["certify", "--model", "anosov", "--n", "4", "--mu", "1.21", "1.25",
+                "--seed", "7197", "--samples", "1000000"]
+        proc = _run_capped(argv, tmp_path, cap=7 * 10**8)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["results"]["contraction_certificate"]["sample_count"] > 10**6
 
     def test_anosov_eigen_failure_usage_error(self, capsys):
         # mu = -1 gives a certified matrix whose smallest eigenvalue is

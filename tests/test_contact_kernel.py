@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import resource
@@ -12,6 +13,7 @@ import pytest
 from scipy.stats import qmc
 
 import liouville_forge
+from liouville_forge import contact_kernel
 from liouville_forge.contact_kernel import (
     Chart,
     Coord,
@@ -29,6 +31,7 @@ from liouville_forge.contact_kernel import (
 )
 from liouville_forge.exactlin import IntMatrix
 from liouville_forge.spectrum_search import SpectrumRequest, certify_matrix, find_matrix
+from liouville_forge.torus_builder import DescentViolation, build_mapping_torus, descent_check
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2
 
@@ -213,6 +216,24 @@ ANOSOV_N4_INPUTS = (
 )
 
 
+def _k_to_one_model(solenoid, k, with_inverse=True):
+    """(theta, x, y) -> (k theta, x/10, y/(10k)) rescales dx + y dtheta by
+    1/10 and keeps its image deep inside the chart, but every image point
+    has k preimages."""
+    scale = np.array([k, 0.1, 0.1 / k])
+
+    def jacobian(p):
+        return np.broadcast_to(np.diag(scale), (len(p), 3, 3)).copy()
+
+    def inverse(p):
+        th = p[:, 0, None] / k + 2.0 * math.pi * np.arange(k) / k
+        rest = np.broadcast_to(p[:, None, 1:] / scale[1:], th.shape + (2,))
+        return np.concatenate([th[:, :, None], rest], axis=-1)
+
+    phi = SmoothMap(lambda p: p * scale, jacobian, inverse if with_inverse else None)
+    return replace(solenoid, phi=phi)
+
+
 class TestCertifyContraction:
     def test_solenoid_passes(self, solenoid):
         cert = certify_contraction(solenoid, samples=10_000, rng_seed=0)
@@ -263,22 +284,8 @@ class TestCertifyContraction:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("k", [3, 5])
     def test_k_to_one_map_fails_injectivity(self, solenoid, k, seed, with_inverse):
-        # (theta, x, y) -> (k theta, x/10, y/(10k)) rescales dx + y dtheta by
-        # 1/10 and keeps its image deep inside the chart, but every image
-        # point has k preimages.
-        scale = np.array([k, 0.1, 0.1 / k])
-
-        def jacobian(p):
-            return np.broadcast_to(np.diag(scale), (len(p), 3, 3)).copy()
-
-        def inverse(p):
-            th = p[:, 0, None] / k + 2.0 * math.pi * np.arange(k) / k
-            rest = np.broadcast_to(p[:, None, 1:] / scale[1:], th.shape + (2,))
-            return np.concatenate([th[:, :, None], rest], axis=-1)
-
-        phi = SmoothMap(lambda p: p * scale, jacobian, inverse if with_inverse else None)
         cert = certify_contraction(
-            replace(solenoid, phi=phi), samples=10_000, rng_seed=seed
+            _k_to_one_model(solenoid, k, with_inverse), samples=10_000, rng_seed=seed
         )
         assert cert.d1["pass"] and cert.d3["pass"]
         assert not cert.passed
@@ -304,6 +311,80 @@ class TestCertifyContraction:
         cert = certify_contraction(model, samples=1000)
         assert cert.to_dict() == before.to_dict()
         assert calls == [cert.sample_count]
+
+    @pytest.mark.parametrize("name", ["solenoid", "jet", "knot"])
+    def test_reduces_the_image_once_per_block(self, name, request, monkeypatch):
+        # Past one block of samples, each row is still reduced exactly once:
+        # one call per block, none larger than the block.
+        model = request.getfixturevalue(name)
+        samples = 2 * contact_kernel._BLOCK_ROWS + 1000
+        before = certify_contraction(model, samples=samples)
+        calls = []
+        reduce = Chart.reduce
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return reduce(self, pts)
+
+        monkeypatch.setattr(Chart, "reduce", counted)
+        cert = certify_contraction(model, samples=samples)
+        assert cert.to_dict() == before.to_dict()
+        assert len(calls) > 1
+        assert sum(calls) == cert.sample_count
+        assert max(calls) <= contact_kernel._BLOCK_ROWS
+
+
+def _descent_outcome(model):
+    """The residual descent_check returns, or the one it raises with."""
+    try:
+        return descent_check(build_mapping_torus(model), samples=1000)
+    except DescentViolation as err:
+        return ("violation", err.residual)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("name", ["solenoid", "jet", "anosov3", "knot_delta_01", "k_to_one"])
+    def test_reports_do_not_depend_on_the_block_size(self, name, request, monkeypatch):
+        # Every per-row value is computed as before and min / max / count do
+        # not see the blocking, so the reports are equal, NaN included.
+        if name == "knot_delta_01":
+            # Probes at y = 1 map to non-finite points (12 at 2000 samples).
+            model = builtin_model("transverse_knot", {"c": 0.1, "delta": 0.1})
+        elif name == "k_to_one":
+            model = _k_to_one_model(request.getfixturevalue("solenoid"), 3)
+        else:
+            model = request.getfixturevalue(name)
+        outcomes = []
+        for rows in (7, 10**9):
+            monkeypatch.setattr(contact_kernel, "_BLOCK_ROWS", rows)
+            cert = certify_contraction(model, samples=2000, rng_seed=3).to_dict()
+            outcomes.append((json.dumps(cert, sort_keys=True), repr(_descent_outcome(model))))
+        assert outcomes[0] == outcomes[1]
+        if name == "knot_delta_01":
+            assert "12 samples mapped to non-finite points" in json.loads(outcomes[0][0])["notes"]
+
+    @pytest.mark.parametrize("odd", [1e-9, 0.4], ids=["det-below-tol", "det-above-tol"])
+    def test_one_determinant_only_for_equal_jacobians(self, jet, odd):
+        # Every Jacobian is the constant one except at a single sample in the
+        # second block; its determinant must reach min_abs_det and the d2
+        # verdict exactly as LAPACK over the whole batch gives them.
+        samples = 2 * contact_kernel._BLOCK_ROWS
+        pts = np.vstack([jet.chart.sample(samples, 0), jet.chart.probe_points()])
+        z_odd = pts[contact_kernel._BLOCK_ROWS + 17, 0]
+        assert np.count_nonzero(pts[:, 0] == z_odd) == 1
+
+        def jacobian(p):
+            out = jet.phi.jac(p).copy()
+            out[p[:, 0] == z_odd] = np.diag([0.5, 1.0, odd])
+            return out
+
+        cert = certify_contraction(
+            replace(jet, phi=replace(jet.phi, jacobian=jacobian)), samples=samples
+        )
+        want = float(np.min(np.abs(np.linalg.det(jacobian(pts)))))
+        assert want == pytest.approx(0.5 * odd) and want < 0.25  # the odd row is the min
+        assert cert.d2["min_abs_det"] == want
+        assert cert.d2["pass"] == (want >= cert.tol)
 
 
 class TestBuiltinModels:
@@ -447,6 +528,12 @@ class TestChart:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, preexec_fn=cap_address_space, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("x", [-1e-20, -1e-300, -5e-324, -0.0])
+    def test_reduce_never_returns_the_period(self, x):
+        # mod(-1e-20, 2 pi) rounds to 2 pi itself, outside [0, period).
+        red = builtin_model("solenoid").chart.reduce([[x, 0.0, 0.0]])
+        assert red[0, 0] == 0.0
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from liouville_forge import torus_builder
+from liouville_forge import contact_kernel, torus_builder
 from liouville_forge.contact_kernel import (
     Chart,
     ContactModel,
@@ -184,6 +184,30 @@ class TestDescent:
         assert descent_check(counted, samples=200) == descent_check(torus, samples=200)
         assert calls == [200]
         assert jac_calls == [200]
+
+    def test_check_evaluates_the_map_once_per_block(self):
+        # Past one block of samples, the map and its Jacobian still see each
+        # row once: one call per block, none larger than the block.
+        torus = build_mapping_torus(builtin_model("transverse_knot"))
+        samples = 2 * contact_kernel._BLOCK_ROWS + 500
+        calls, jac_calls = [], []
+        phi = torus.base.phi
+
+        def forward(pts):
+            calls.append(len(pts))
+            return phi.forward(pts)
+
+        def jacobian(pts):
+            jac_calls.append(len(pts))
+            return phi.jacobian(pts)
+
+        counted_phi = replace(phi, forward=forward, jacobian=jacobian)
+        counted = replace(torus, base=replace(torus.base, phi=counted_phi))
+        assert descent_check(counted, samples=samples) == descent_check(torus, samples=samples)
+        for seen in (calls, jac_calls):
+            assert len(seen) > 1
+            assert sum(seen) == samples
+            assert max(seen) <= contact_kernel._BLOCK_ROWS
 
 
 class TestTransversality:
