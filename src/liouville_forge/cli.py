@@ -4,7 +4,8 @@ Four subcommands (find-matrix, certify, skeleton, descent) that run the
 library and emit deterministic JSON reports: sorted keys, floats in Python's
 shortest round-trip repr, and enough echoed inputs to re-run the command.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 search
-exhausted.
+exhausted.  ``skeleton --section`` reports the analysis's own section cloud,
+all on the fiber; a cloud-route model refuses it before iterating.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from .contact_kernel import (
 from .spectrum_search import SearchExhausted, SpectrumRequest, find_matrix
 from .torus_builder import (
     DescentViolation,
-    EmptySection,
     GExtension,
     MappingTorusModel,
     boundary_transversality_check,
     build_mapping_torus,
     constant_roof,
-    cross_section,
     descent_check,
     export_cloud_csv,
     iterate_attractor,
@@ -46,14 +45,9 @@ SCHEMA_VERSION = 1
 THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
 # Inputs the library rejects, sizes too large to allocate, and output paths
 # that cannot be written (OSError); each ends the command with exit code 2.
-_USAGE_ERRORS = (
-    ValueError, UnknownModel, ModelError, EigenFailure, EmptySection, MemoryError, OSError
-)
+_USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, MemoryError, OSError)
 _K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
                "rounds once at each value")
-# Half-width of the slab that --section cuts from the section cloud, whose
-# points are seeded on the fiber itself.
-SECTION_THICKNESS = 1e-6
 
 
 def resolve_threads(value: int | None) -> int:
@@ -150,25 +144,25 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_skeleton(args: argparse.Namespace) -> int:
     model, extra = _build_model(args)
     threads = resolve_threads(args.threads)
-    theta0 = args.section if args.section is not None else 0.0
     analysis = skeleton_analysis(
         model,
         args.depth,
         args.seeds,
         scales=args.scales,
         rng_seed=args.seed,
-        theta0=theta0,
+        theta0=args.section,
         threads=threads,
     )
     results = {"skeleton": analysis.to_dict(), **extra}
     if args.section is not None:
-        pts2 = cross_section(analysis.sample, args.section, SECTION_THICKNESS)
-        section_info: dict = {"theta0": args.section, "points": len(pts2)}
+        # The section cloud is seeded on the fiber: every point is in the section.
+        chart = model.chart
+        csv_points = analysis.sample.points[:, chart.interval_idx]
+        section_info: dict = {"theta0": args.section, "points": len(csv_points)}
         if analysis.section_clusters is not None:
             section_info["clusters"] = analysis.section_clusters
         results["section"] = section_info
-        csv_points = pts2
-        csv_names = [model.chart.names[i] for i in model.chart.interval_idx]
+        csv_names = [chart.names[i] for i in chart.interval_idx]
     elif args.csv_out:
         sample = analysis.sample
         if analysis.route != "cloud":

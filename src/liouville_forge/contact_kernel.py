@@ -449,10 +449,11 @@ def contact_check(form: OneForm, pts: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 8192
 
 
-def _in_row_blocks(fn: Callable, pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``fn`` applied to ``pts`` in blocks of ``_BLOCK_ROWS`` rows.  ``fn``
-    returns a tuple of per-row arrays; each is joined over the blocks."""
-    parts = [fn(pts[i : i + _BLOCK_ROWS]) for i in range(0, len(pts), _BLOCK_ROWS)]
+def _in_row_blocks(fn: Callable, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``fn`` applied to the same blocks of ``_BLOCK_ROWS`` rows of each of
+    ``arrays``; it returns per-row arrays, each joined over the blocks."""
+    n = len(arrays[0])
+    parts = [fn(*(a[i : i + _BLOCK_ROWS] for a in arrays)) for i in range(0, n, _BLOCK_ROWS)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -206,7 +206,8 @@ def descent_check(
     tolerance fails).  The form e^s alpha has no ds term, so dG never enters
     its pullback through the gluing map and only the Jacobian of phi does.
     The samples go through phi in row blocks, keeping each row's pulled-back
-    form and roof value only."""
+    form and roof value only; once the scale of s is known, a second pass
+    over the same blocks keeps each row's largest defect only."""
     if samples < 1:
         raise ValueError("samples must be positive")
     base = model.base
@@ -215,17 +216,23 @@ def descent_check(
     chart = base.chart
     u = halton(samples, chart.dim + 1, rng_seed)
     lo, hi = chart.lows(), chart.highs()
-    x = lo + u[:, : chart.dim] * (hi - lo)
 
-    def block(xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pb, q, _ = pullback(base.phi, base.codomain_alpha, xb, base.codomain)
+    def points(ub: np.ndarray) -> np.ndarray:
+        return lo + ub[:, : chart.dim] * (hi - lo)
+
+    def image(ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pb, q, _ = pullback(base.phi, base.codomain_alpha, points(ub), base.codomain)
         return pb, model.G(q)
 
-    pb, g = _in_row_blocks(block, x)
+    def defect(ub, pbb, gb) -> tuple[np.ndarray]:
+        s = ub[:, chart.dim] * s_ref
+        d = np.exp(s + gb)[:, None] * pbb - np.exp(s)[:, None] * base.alpha(points(ub))
+        return (np.max(np.abs(d), axis=1),)
+
+    pb, g = _in_row_blocks(image, u)
     s_ref = model.G.constant if model.G.constant is not None else float(np.mean(g))
-    s = u[:, chart.dim] * s_ref
-    defect = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
-    residual = float(np.max(np.abs(defect)))
+    (row_max,) = _in_row_blocks(defect, u, pb, g)
+    residual = float(np.max(row_max))
     if not residual < tol:
         raise DescentViolation(residual, tol)
     return residual
@@ -293,11 +300,6 @@ def _iterate(model: ContactModel, pts: np.ndarray, depth: int, threads: int) -> 
     return pts
 
 
-# Image points whose coordinates round to the same multiple of this are
-# merged: they are copies of one point, not a finer level of the attractor.
-DEDUP_THRESHOLD = 1e-9
-
-
 def _row_keys(cells: np.ndarray) -> np.ndarray:
     """One key per row of a non-empty integer array, equal exactly when the
     rows are equal.
@@ -317,14 +319,6 @@ def _row_keys(cells: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _dedup(pts: np.ndarray, threshold: float) -> np.ndarray:
-    if threshold <= 0 or len(pts) == 0:
-        return pts
-    keys = _row_keys(np.round(pts / threshold).astype(np.int64))
-    _, idx = np.unique(keys, return_index=True)
-    return pts[np.sort(idx)]
-
-
 def iterate_attractor(
     model: ContactModel,
     depth: int,
@@ -335,11 +329,12 @@ def iterate_attractor(
     """Push a quasi-random cloud through the map ``depth`` times.
 
     The image cloud lies in the depth-fold image of the chart, which
-    contains the attractor and converges to it in Hausdorff distance.
+    contains the attractor and converges to it in Hausdorff distance.  It
+    holds one image row per seed, in seed order; rows that coincide stay,
+    since a box count counts distinct cells.
     """
     _require_self_map(model, depth)
     pts = _iterate(model, model.chart.sample(seeds, rng_seed), depth, threads)
-    pts = _dedup(pts, DEDUP_THRESHOLD)
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 
@@ -354,8 +349,9 @@ def section_cloud(
     """Depth-m image cloud restricted exactly to a circle-factor fiber.
 
     Seeds the angle coordinate at the multiplier^depth preimages of
-    ``theta0``, so the iterated cloud is the full cross-section of the
-    depth-m image, free of slab-thickness smearing.
+    ``theta0``, reduced modulo the period first, so the iterated cloud is
+    the full cross-section of the depth-m image at every finite angle, free
+    of slab-thickness smearing: every point lies on the fiber.
     """
     _require_self_map(model, depth)
     chart = model.chart
@@ -367,7 +363,7 @@ def section_cloud(
     pi_idx = chart.periodic_idx[0]
     period = chart.coords[pi_idx].period
     branches = mult**depth
-    angles = (theta0 + period * np.arange(branches)) / branches
+    angles = (theta0 % period + period * np.arange(branches)) / branches
 
     u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
     block = np.empty((seeds_per_branch, chart.dim))
@@ -487,32 +483,36 @@ def skeleton_analysis(
     seeds: int,
     scales: Sequence[float] | None = None,
     rng_seed: int = 0,
-    theta0: float = 0.0,
+    theta0: float | None = None,
     threads: int = 1,
 ) -> SkeletonAnalysis:
     """Dimension estimate for the skeleton of the associated mapping torus.
 
     The suspension direction contributes exactly 1.  Models with a single
-    circle factor are measured through the fiber cross-section (the circle
-    direction contributes another 1), which needs at least one seed per
-    branch, ``seeds >= angle_multiplier**depth``; otherwise the full
-    attractor cloud is box-counted.
+    circle factor are measured through the fiber cross-section at angle
+    ``theta0`` (0 when it is ``None``; the circle direction contributes
+    another 1), which needs at least one seed per branch,
+    ``seeds >= angle_multiplier**depth``.  Otherwise the full attractor
+    cloud is box-counted, and a section angle, which that route cannot
+    honour, raises ``ModelError`` before any point is iterated.
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
-    if not math.isfinite(theta0):
+    if theta0 is not None and not math.isfinite(theta0):
         raise ValueError("theta0 must be finite")
     chart = model.chart
     solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
+    if not solenoid_like and theta0 is not None:
+        raise ModelError("a section angle needs a model with one circle factor and an "
+                         "angle multiplier; this model is measured through its full cloud")
     if solenoid_like:
         mult = int(model.params["angle_multiplier"])
         branches = max(1, mult**depth)
         if seeds < branches:
             raise ValueError("the section route needs seeds >= angle_multiplier**depth")
         per_branch = max(8, seeds // branches)
-        sample = section_cloud(
-            model, depth, per_branch, theta0=theta0, rng_seed=rng_seed, threads=threads
-        )
+        angle = 0.0 if theta0 is None else theta0
+        sample = section_cloud(model, depth, per_branch, angle, rng_seed, threads)
         pts2 = sample.points[:, chart.interval_idx]
         rate = float(model.params.get("rate_x", model.params.get("rate", 0.5)))
         use_scales = tuple(scales) if scales else _default_section_scales(rate, depth)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import liouville_forge
+from liouville_forge import torus_builder
 from liouville_forge.cli import main, resolve_threads
 
 
@@ -25,7 +26,10 @@ def _run_capped(argv, tmp_path, cap=3 * 10**9):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(liouville_forge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    # OpenBLAS reserves address space per thread; one thread keeps the cap
+    # independent of the core count.
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
     return subprocess.run(
         [sys.executable, "-m", "liouville_forge.cli", *argv, "--out", "r.json"],
         cwd=tmp_path, env=env, capture_output=True, text=True,
@@ -148,8 +152,8 @@ class TestSkeleton:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["section"]["clusters"] == 8
-        # The section cloud is seeded on the fiber, so the slab keeps every
-        # point: 2000 per branch, 8 branches.
+        # The section cloud is seeded on the fiber, so every point is in the
+        # section: 2000 per branch, 8 branches.
         assert rep["results"]["section"]["points"] == 16000
         lines = csv.read_text().splitlines()
         assert lines[0] == "x,y"
@@ -167,13 +171,28 @@ class TestSkeleton:
     def test_transverse_knot_rejected(self):
         assert run(["skeleton", "--model", "transverse-knot", "--depth", "2"]) == 2
 
-    def test_section_on_cloud_route_usage_error(self, tmp_path, capsys):
+    def test_section_on_cloud_route_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Refused before any point is iterated.
+        def no_iteration(*args):
+            raise RuntimeError("the cloud was iterated")
+
+        monkeypatch.setattr(torus_builder, "_iterate", no_iteration)
         out = tmp_path / "r.json"
         code = run(["skeleton", "--model", "anosov", "--n", "2", "--depth", "2",
                     "--seeds", "1000", "--section", "0.0", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("angle", ["1e10", "1e15"])
+    def test_section_at_a_large_angle_keeps_every_point(self, angle, tmp_path):
+        out = tmp_path / "r.json"
+        csv = tmp_path / "sec.csv"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+                    "--section", angle, "--csv-out", str(csv), "--out", str(out)]) == 0
+        section = json.loads(out.read_text())["results"]["section"]
+        assert section["points"] == 4000
+        assert len(csv.read_text().splitlines()) - 1 == 4000
 
     def test_csv_cloud_export(self, tmp_path):
         csv = tmp_path / "cloud.csv"
@@ -228,6 +247,16 @@ class TestSkeletonThreads:
 
 
 class TestDescent:
+    def test_anosov_million_samples_under_450_mb(self, tmp_path):
+        # The residual is reduced per row block: the address space peaks near
+        # 328 MiB, where whole-batch temporaries took it to 541 MiB.
+        argv = ["descent", "--model", "anosov", "--n", "4", "--mu", "1.21", "1.25",
+                "--seed", "7197", "--samples", "1000000"]
+        proc = _run_capped(argv, tmp_path, cap=45 * 10**7)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["status"] == "pass"
+
     def test_solenoid_passes(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["descent", "--model", "solenoid", "--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from liouville_forge.contact_kernel import (
     Chart,
     ContactModel,
     Coord,
+    ModelError,
     OneForm,
     SmoothMap,
     anosov_model,
@@ -26,7 +27,6 @@ from liouville_forge.torus_builder import (
     EmptySection,
     GExtension,
     MappingTorusModel,
-    _dedup,
     _row_keys,
     boundary_transversality_check,
     box_counting_dimension,
@@ -263,12 +263,6 @@ class TestAttractorIteration:
         h23 = hausdorff(clouds[1], clouds[2])
         assert h23 < 0.5 * h12
 
-    def test_dedup_collapses_tiny_spread(self, solenoid):
-        pts = np.array([[0.5, 0.1, 0.1], [0.5, 0.1, 0.1 + 1e-12]])
-        from liouville_forge.torus_builder import _dedup
-
-        assert len(_dedup(pts, 1e-9)) == 1
-
 
 class TestCrossSection:
     def test_depth_zero_fills_disk(self, solenoid):
@@ -435,6 +429,32 @@ def test_block_iteration_matches_whole_array_steps(make, cloud, threads, monkeyp
     assert np.array_equal(got, want)
 
 
+def test_cloud_keeps_one_image_row_per_seed():
+    # Angle doubling sends base-2 Halton seeds onto shared images at depth
+    # 20; the cloud keeps every copy, in seed order.
+    model = builtin_model("solenoid")
+    got = iterate_attractor(model, 20, 200_000, rng_seed=0).points
+    want = _stepwise(model, model.chart.sample(200_000, 0), 20, 1)
+    assert np.array_equal(got, want)
+
+
+def test_section_angle_on_cloud_route_refused_before_iterating(monkeypatch):
+    def no_iteration(*args):
+        raise AssertionError("the cloud was iterated")
+
+    monkeypatch.setattr(torus_builder, "_iterate", no_iteration)
+    with pytest.raises(ModelError):
+        skeleton_analysis(_cat_map(), 2, 1000, theta0=0.0)
+
+
+@pytest.mark.parametrize("theta0", [1e10, -1e10, 1e15])
+def test_section_cloud_lies_on_the_fiber_at_any_angle(solenoid, theta0):
+    period = solenoid.chart.coords[0].period
+    sample = section_cloud(solenoid, 3, 500, theta0=theta0)
+    ang = np.mod(sample.points[:, 0] - theta0 % period, period)
+    assert np.minimum(ang, period - ang).max() < 1e-12
+
+
 def _anosov_n3():
     cert = find_matrix(SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7))
     return anosov_model(cert.matrix, cert)
@@ -501,12 +521,6 @@ def _oracle_counts(points, scales):
     )
 
 
-def _oracle_dedup(pts, threshold):
-    keys = np.round(pts / threshold).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(idx)]
-
-
 @st.composite
 def _integer_clouds(draw):
     """Integer-valued clouds (on grid lines for the scales below), with
@@ -539,25 +553,6 @@ class TestPackedKeys:
         assert _row_keys(pts.astype(np.int64)).dtype.kind == "V"
         scales = (1.0, 4.0)
         assert box_counting_dimension(pts, scales).counts == _oracle_counts(pts, scales)
-
-    def test_dedup_row_view_on_anosov_n3(self):
-        model = _anosov_n3()
-        pts = model.chart.sample(20_000, 0)
-        for _ in range(3):
-            pts = model.chart.reduce(model.phi(pts))
-        pts = np.vstack([pts, pts[::7]])
-        assert _row_keys(np.round(pts / 1e-9).astype(np.int64)).dtype.kind == "V"
-        out = _dedup(pts, 1e-9)
-        assert len(out) < len(pts)
-        assert np.array_equal(out, _oracle_dedup(pts, 1e-9))
-
-    def test_dedup_packs_one_column(self):
-        rng = np.random.default_rng(1)
-        pts = rng.integers(-500, 500, size=(5000, 1)) * 1e-9
-        assert _row_keys(np.round(pts / 1e-9).astype(np.int64)).dtype == np.int64
-        out = _dedup(pts, 1e-9)
-        assert len(out) < len(pts)
-        assert np.array_equal(out, _oracle_dedup(pts, 1e-9))
 
 
 class TestSectionClusters:
