@@ -152,10 +152,10 @@ class Chart:
             raise ValueError("chart dimension must be odd and at least 3")
         for c in self.coords:
             if c.is_periodic:
-                if c.period <= 0:
-                    raise ValueError(f"coordinate {c.name}: period must be positive")
-            elif not c.hi > c.lo:
-                raise ValueError(f"coordinate {c.name}: degenerate interval")
+                if not (math.isfinite(c.period) and c.period > 0):
+                    raise ValueError(f"coordinate {c.name}: period must be finite and positive")
+            elif not (math.isfinite(c.lo) and math.isfinite(c.hi) and c.hi > c.lo):
+                raise ValueError(f"coordinate {c.name}: interval ends must be finite, lo < hi")
 
     @property
     def dim(self) -> int:
@@ -645,8 +645,8 @@ def _transverse_knot_model(params: dict) -> ContactModel:
     c = float(params.get("c", 0.1))
     delta = float(params.get("delta", 1e-3))
     eps = float(params.get("eps", 0.5))
-    if c <= 0 or delta <= 0 or eps <= 0:
-        raise ValueError("transverse_knot parameters must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (c, delta, eps)):
+        raise ValueError("transverse_knot parameters must be finite and positive")
     chart = Chart(
         (
             Coord.circle("theta", 1.0),

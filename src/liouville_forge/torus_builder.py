@@ -70,7 +70,8 @@ class DegenerateCloud(Exception):
 
 @dataclass(frozen=True)
 class GExtension:
-    """Positive roof function on the map's codomain chart.
+    """Positive roof function on the map's codomain chart, read at points
+    already reduced into it: the roof over x is G(phi(x)).
 
     ``constant`` is set when the function is a single value (the usual case
     for the built-in models, whose conformal factor is constant).
@@ -94,8 +95,13 @@ class MappingTorusModel:
     tilt_eps: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.tilt_eps < 0:
-            raise ValueError("tilt_eps must be nonnegative")
+        if self.base.phi is None:
+            raise ModelError("model has no map")
+        if not (math.isfinite(self.tilt_eps) and self.tilt_eps >= 0):
+            raise ValueError("tilt_eps must be finite and nonnegative")
+        g0 = self.G.constant
+        if g0 is not None and not (math.isfinite(g0) and g0 > 0):
+            raise ValueError("a constant roof must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,46 +157,40 @@ def constant_roof(g0: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda pts: np.full(len(pts), g0)
 
 
-def extend_G(base: ContactModel, samples: int = 2048, rng_seed: int = 0) -> GExtension:
+# Chart samples, besides the corner probes, at which extend_G reads the exponent.
+_ROOF_SAMPLES = 2048
+
+
+def extend_G(base: ContactModel, rng_seed: int = 0) -> GExtension:
     """Extend the contraction exponent off the image of the map.
 
     Uses the model's own exact extension when it supplies one, checked
-    against the sampled exponent on the image; otherwise the constant median
-    of the sampled exponent, exact only for a constant conformal factor.
-    ``meta["spread"]`` records how far the samples vary; ``descent_check``
-    decides whether the constant roof works.
+    against the sampled exponent on the image, and returns it as it is: it
+    is read only at points already reduced into the codomain chart.
+    Otherwise the constant median of the sampled exponent, exact only for a
+    constant conformal factor.  ``meta["spread"]`` records how far the
+    samples vary; ``descent_check`` decides whether the constant roof works.
     """
-    x = np.vstack([base.chart.sample(samples, rng_seed), base.chart.probe_points(cap=512)])
+    x = np.vstack([base.chart.sample(_ROOF_SAMPLES, rng_seed), base.chart.probe_points(cap=512)])
     f, fit_resid, scale, q = model_conformal_factors(base, x)
     valid = np.isfinite(f) & (f > 0.0) & (f < 1.0) & (fit_resid <= 1e-6 * scale)
     if not valid.any():
         raise ModelError("no valid conformal factors; is the model a contraction?")
     g = -np.log(f[valid])
-    codomain = base.codomain
     if base.g_extension is not None:
-        ext = base.g_extension
-
-        def evaluate_model(pts: np.ndarray) -> np.ndarray:
-            return np.asarray(ext(codomain.reduce(pts)), float)
-
-        resid = float(np.max(np.abs(evaluate_model(q[valid]) - g)))
+        resid = float(np.max(np.abs(np.asarray(base.g_extension(q[valid]), float) - g)))
         if resid > 1e-8:
             raise ModelError(f"model extension fails on the image: {resid:.3e}")
-        return GExtension(evaluate_model, "model", None, {"extension_residual": resid})
+        return GExtension(base.g_extension, "model", None, {"extension_residual": resid})
 
     g0 = float(np.median(g))
     return GExtension(constant_roof(g0), "constant", g0, {"spread": float(np.ptp(g))})
 
 
 def build_mapping_torus(
-    base: ContactModel,
-    tilt_eps: float = 0.1,
-    samples: int = 2048,
-    rng_seed: int = 0,
+    base: ContactModel, tilt_eps: float = 0.1, rng_seed: int = 0
 ) -> MappingTorusModel:
-    return MappingTorusModel(
-        base=base, G=extend_G(base, samples=samples, rng_seed=rng_seed), tilt_eps=tilt_eps
-    )
+    return MappingTorusModel(base=base, G=extend_G(base, rng_seed=rng_seed), tilt_eps=tilt_eps)
 
 
 # -- descent of the rescaled form ---------------------------------------------
@@ -202,36 +202,27 @@ def descent_check(
     rng_seed: int = 0,
 ) -> float:
     """Max descent residual |e^(s+G(phi x)) phi^*alpha - e^s alpha| over
-    sampled (s, x); raises unless it is below tolerance (so a NaN residual or
-    tolerance fails).  The form e^s alpha has no ds term, so dG never enters
-    its pullback through the gluing map and only the Jacobian of phi does.
-    The samples go through phi in row blocks, keeping each row's pulled-back
-    form and roof value only; once the scale of s is known, a second pass
-    over the same blocks keeps each row's largest defect only."""
+    sampled (s, x) with s in [0, G(phi x)], the fiber over x; raises unless
+    it is below tolerance (so a NaN residual or tolerance fails).  The form
+    e^s alpha has no ds term, so dG never enters its pullback through the
+    gluing map and only the Jacobian of phi does.  One pass over row blocks
+    maps each block, reads the roof at its images and keeps each row's
+    largest defect only."""
     if samples < 1:
         raise ValueError("samples must be positive")
     base = model.base
-    if base.phi is None:
-        raise ModelError("model has no map")
     chart = base.chart
-    u = halton(samples, chart.dim + 1, rng_seed)
     lo, hi = chart.lows(), chart.highs()
 
-    def points(ub: np.ndarray) -> np.ndarray:
-        return lo + ub[:, : chart.dim] * (hi - lo)
-
-    def image(ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pb, q, _ = pullback(base.phi, base.codomain_alpha, points(ub), base.codomain)
-        return pb, model.G(q)
-
-    def defect(ub, pbb, gb) -> tuple[np.ndarray]:
-        s = ub[:, chart.dim] * s_ref
-        d = np.exp(s + gb)[:, None] * pbb - np.exp(s)[:, None] * base.alpha(points(ub))
+    def defect(ub: np.ndarray) -> tuple[np.ndarray]:
+        x = lo + ub[:, : chart.dim] * (hi - lo)
+        pb, q, _ = pullback(base.phi, base.codomain_alpha, x, base.codomain)
+        g = model.G(q)
+        s = ub[:, chart.dim] * g
+        d = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
         return (np.max(np.abs(d), axis=1),)
 
-    pb, g = _in_row_blocks(image, u)
-    s_ref = model.G.constant if model.G.constant is not None else float(np.mean(g))
-    (row_max,) = _in_row_blocks(defect, u, pb, g)
+    (row_max,) = _in_row_blocks(defect, halton(samples, chart.dim + 1, rng_seed))
     residual = float(np.max(row_max))
     if not residual < tol:
         raise DescentViolation(residual, tol)
@@ -245,13 +236,13 @@ def boundary_transversality_check(
 ) -> float:
     """Minimum pairing of the flow direction with outward conormals.
 
-    Tilted collar faces contribute eps/G; roof faces contribute exactly 1
-    (the flow component of ds - dG).  A zero tilt gives a tangency and a
-    zero margin.
+    Tilted collar faces contribute eps/G, with the roof read over each
+    collar point x as G(phi(x)), as ``descent_check`` reads it; roof faces
+    contribute exactly 1 (the flow component of ds - dG).  A zero tilt
+    gives a tangency and a zero margin.
     """
-    if model.tilt_eps == 0.0:
-        return 0.0
-    chart = model.base.chart
+    base = model.base
+    chart = base.chart
     pts = chart.sample(samples, rng_seed)
     # Push the interval coordinates out into the collar shell.
     r = np.maximum(chart.normalized_radius(pts), 1e-12)
@@ -262,9 +253,8 @@ def boundary_transversality_check(
         c = chart.coords[i]
         mid = 0.5 * (c.lo + c.hi)
         collar[:, i] = mid + (collar[:, i] - mid) * scale
-    g_vals = model.G(collar)
-    tilted = float(np.min(model.tilt_eps / g_vals))
-    return min(tilted, 1.0)
+    g_vals = model.G(base.codomain.reduce(base.phi(collar)))
+    return min(float(np.min(model.tilt_eps / g_vals)), 1.0)
 
 
 # -- attractor iteration ------------------------------------------------------

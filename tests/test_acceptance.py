@@ -167,7 +167,7 @@ def test_criterion_5_descent():
         cat = IntMatrix.from_rows([[2, 1], [1, 1]])
         models.append(anosov_model(cat, certify_matrix(cat)))
         for model in models:
-            torus = build_mapping_torus(model, samples=512)
+            torus = build_mapping_torus(model)
             assert descent_check(torus, samples=500, tol=1e-9) < 1e-9
         wrong = MappingTorusModel(
             models[0],

@@ -319,12 +319,21 @@ class TestUsageErrors:
          "--section", "nan"],
         ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
          "--section", "inf"],
+        ["descent", "--model", "solenoid", "--tilt-eps", "inf"],
+        ["descent", "--model", "solenoid", "--tilt-eps", "nan"],
+        ["descent", "--model", "solenoid", "--force-G", "0"],
+        ["descent", "--model", "solenoid", "--force-G", "nan"],
+        ["certify", "--model", "transverse-knot", "--knot-eps", "inf"],
+        ["certify", "--model", "transverse-knot", "--c", "nan"],
+        ["descent", "--model", "transverse-knot", "--delta", "inf"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
             "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan",
             "skeleton-seeds-below-branches", "skeleton-section-nan",
-            "skeleton-section-inf"])
+            "skeleton-section-inf", "descent-tilt-eps-inf", "descent-tilt-eps-nan",
+            "descent-force-G-0", "descent-force-G-nan", "certify-knot-eps-inf",
+            "certify-knot-c-nan", "descent-knot-delta-inf"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

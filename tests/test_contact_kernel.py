@@ -539,6 +539,16 @@ class TestChart:
         with pytest.raises(ValueError):
             Chart((Coord.interval("a", 0, 1), Coord.interval("b", 0, 1)))
 
+    @pytest.mark.parametrize("coord", [
+        Coord.interval("u", -math.inf, 1.0),
+        Coord.interval("u", 0.0, math.nan),
+        Coord.circle("t", math.inf),
+        Coord.circle("t", math.nan),
+    ], ids=["interval-lo-inf", "interval-hi-nan", "period-inf", "period-nan"])
+    def test_non_finite_bounds_refused(self, coord):
+        with pytest.raises(ValueError):
+            Chart((coord, Coord.interval("a", 0, 1), Coord.interval("b", 0, 1)))
+
     def test_reduce_and_margins(self):
         ch = Chart(
             (

@@ -159,14 +159,18 @@ class TestDescent:
         assert torus.G.mode == "model"
         assert descent_check(torus, samples=500, rng_seed=11) < 1e-9
 
+    def test_torus_needs_a_map(self, solenoid_torus):
+        with pytest.raises(ModelError):
+            replace(solenoid_torus, base=replace(solenoid_torus.base, phi=None))
+
     def test_transverse_knot_descends(self):
         torus = build_mapping_torus(builtin_model("transverse_knot"))
         assert descent_check(torus, samples=500) < 1e-9
 
     def test_check_evaluates_the_map_once(self):
-        # The non-constant roof needs G(phi(x)) for the mean roof height; the
-        # residuals reuse that image and its one Jacobian instead of mapping
-        # or differentiating the points again.
+        # The non-constant roof is read at the images phi(x) that the
+        # pullback already made; the residuals reuse them and their one
+        # Jacobian instead of mapping or differentiating the points again.
         torus = build_mapping_torus(builtin_model("transverse_knot"))
         calls, jac_calls = [], []
         phi = torus.base.phi
@@ -222,6 +226,35 @@ class TestTransversality:
             tilt_eps=0.0,
         )
         assert boundary_transversality_check(flat) == 0.0
+
+    def test_knot_margin_reads_the_roof_at_the_collar_images(self):
+        # The roof lives on the codomain: over a collar point x it is
+        # G(reduce(phi(x))), so the margin is tilt_eps over its largest
+        # value there.  The clip floor of the knot's extension lies far
+        # below the image (z_bar near 1e-3), so moving it moves nothing.
+        model = builtin_model("transverse_knot")
+        torus = build_mapping_torus(model)
+        seen = []
+
+        def roof(q):
+            seen.append(q)
+            return torus.G(q)
+
+        margin = boundary_transversality_check(replace(torus, G=replace(torus.G, evaluate=roof)))
+        (q,) = seen
+        assert model.codomain.contains(q).all()
+        np.testing.assert_array_equal(model.codomain.reduce(q), q)
+        assert margin == torus.tilt_eps / np.max(torus.G(q))
+        # The roof over the chart is largest at y = -1, where z_bar is
+        # c delta / (c + delta); the collar samples come within 1e-5 of it.
+        bound = torus.tilt_eps / -math.log(1e-4 / 0.101)
+        assert bound <= margin == pytest.approx(bound, rel=1e-5)
+
+        def g_ext_floor(p):
+            return -np.log(np.clip(p[:, 2], 1e-6, 1.0 - 1e-12))
+
+        floored = build_mapping_torus(replace(model, g_extension=g_ext_floor))
+        assert boundary_transversality_check(floored) == margin
 
 
 class TestAttractorIteration:
