@@ -97,8 +97,10 @@ class MappingTorusModel:
     def __post_init__(self) -> None:
         if self.base.phi is None:
             raise ModelError("model has no map")
-        if not (math.isfinite(self.tilt_eps) and self.tilt_eps >= 0):
-            raise ValueError("tilt_eps must be finite and nonnegative")
+        # The collar radius 1 - tilt_eps*t must stay positive: a tilt of 1
+        # puts a collar point at the chart's centre, a wider one reflects it.
+        if not 0.0 <= self.tilt_eps < 1.0:
+            raise ValueError("tilt_eps must be at least 0 and below 1")
         g0 = self.G.constant
         if g0 is not None and not (math.isfinite(g0) and g0 > 0):
             raise ValueError("a constant roof must be finite and positive")

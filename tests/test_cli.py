@@ -321,6 +321,8 @@ class TestUsageErrors:
          "--section", "inf"],
         ["descent", "--model", "solenoid", "--tilt-eps", "inf"],
         ["descent", "--model", "solenoid", "--tilt-eps", "nan"],
+        ["descent", "--model", "solenoid", "--tilt-eps", "1"],
+        ["descent", "--model", "solenoid", "--tilt-eps", "5"],
         ["descent", "--model", "solenoid", "--force-G", "0"],
         ["descent", "--model", "solenoid", "--force-G", "nan"],
         ["certify", "--model", "transverse-knot", "--knot-eps", "inf"],
@@ -332,6 +334,7 @@ class TestUsageErrors:
             "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan",
             "skeleton-seeds-below-branches", "skeleton-section-nan",
             "skeleton-section-inf", "descent-tilt-eps-inf", "descent-tilt-eps-nan",
+            "descent-tilt-eps-1", "descent-tilt-eps-5",
             "descent-force-G-0", "descent-force-G-nan", "certify-knot-eps-inf",
             "certify-knot-c-nan", "descent-knot-delta-inf"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):

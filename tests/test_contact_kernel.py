@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import liouville_forge
@@ -529,11 +531,40 @@ class TestChart:
                               text=True, preexec_fn=cap_address_space, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("x", [-1e-20, -1e-300, -5e-324, -0.0])
+    @pytest.mark.parametrize("x", [-1e-20, -1e-300, -5e-324, -0.0, -2 * math.pi])
     def test_reduce_never_returns_the_period(self, x):
         # mod(-1e-20, 2 pi) rounds to 2 pi itself, outside [0, period).
         red = builtin_model("solenoid").chart.reduce([[x, 0.0, 0.0]])
         assert red[0, 0] == 0.0
+        assert not np.signbit(red[0, 0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reduce_is_mod_bit_for_bit(self, data):
+        p = data.draw(st.sampled_from([2 * math.pi, 1.0]) | st.floats(1e-300, 1e300), "period")
+        # [-p, 2p), where reduce steps by one period, with its ends and the
+        # neighbours of -p, 0, p and 2p that lie inside it.
+        values = st.floats(-p, 2 * p, exclude_max=True) | st.sampled_from([
+            -p, math.nextafter(-p, math.inf), math.nextafter(-0.0, -math.inf), -0.0, 0.0,
+            math.nextafter(0.0, math.inf), math.nextafter(p, -math.inf), p,
+            math.nextafter(p, math.inf), math.nextafter(2 * p, -math.inf),
+        ])
+        if data.draw(st.booleans(), "with values that keep np.mod"):
+            values |= st.floats() | st.sampled_from([
+                math.nextafter(-p, -math.inf), 2 * p, math.nextafter(2 * p, math.inf),
+                math.inf, -math.inf,
+            ])
+        col = np.array(data.draw(st.lists(values, min_size=1, max_size=20), "column"))
+        chart = Chart((Coord.circle("t", p), Coord.interval("u", 0, 1), Coord.interval("v", 0, 1)))
+        pts = np.zeros((len(col), 3))
+        pts[:, 0] = col
+        with np.errstate(invalid="ignore"):
+            got = chart.reduce(pts)[:, 0]
+            want = np.mod(col, p)
+        want[want == p] = 0.0
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
