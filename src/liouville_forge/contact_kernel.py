@@ -622,14 +622,26 @@ def _solenoid_model(params: dict) -> ContactModel:
     )
 
     def forward(p):
+        """(2 theta, x/10 + cos(theta)/2, y/20 + sin(theta)/4), bit for bit,
+        with cos and sin taken once per run of bit-identical angles: every
+        seed of a section branch carries one angle at every step.  Runs
+        split on int64 bits, so -0.0 and +0.0 differ, and at every NaN."""
         th = p[:, 0]
-        return np.column_stack(
-            [
-                2.0 * th,
-                p[:, 1] / 10.0 + np.cos(th) / 2.0,
-                p[:, 2] / 20.0 + np.sin(th) / 4.0,
-            ]
-        )
+        n = len(th)
+        bits = th.view(np.int64)
+        new = np.empty(n, bool)
+        new[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        new[1:] |= np.isnan(th[1:])
+        out = np.empty((n, 3))
+        np.multiply(2.0, th, out=out[:, 0])
+        np.divide(p[:, 1], 10.0, out=out[:, 1])
+        np.divide(p[:, 2], 20.0, out=out[:, 2])
+        heads = np.flatnonzero(new)
+        counts = np.diff(heads, append=n)
+        out[:, 1] += np.repeat(np.cos(th[heads]) / 2.0, counts)
+        out[:, 2] += np.repeat(np.sin(th[heads]) / 4.0, counts)
+        return out
 
     def jacobian(p):
         th = p[:, 0]

@@ -427,7 +427,11 @@ def box_counting_dimension(
     scales: Sequence[float],
     origin: Sequence[float] | None = None,
 ) -> BoxCountResult:
-    """Occupied-box counts on origin-anchored grids and the log-log slope."""
+    """Occupied-box counts on origin-anchored grids and the log-log slope.
+
+    Raises ``ValueError`` for fewer than two scales, a repeated, non-finite
+    or non-positive scale, a non-finite point or origin, and a cell index
+    at the finest scale outside int64."""
     pts = _cloud(points)
     scales = sorted((float(s) for s in scales), reverse=True)
     if len(scales) < 2:
@@ -436,13 +440,25 @@ def box_counting_dimension(
         raise ValueError("scales must be finite")
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
-    if len(pts) > 1 and float(np.max(np.ptp(pts, axis=0))) == 0.0:
+    if len(set(scales)) < len(scales):
+        raise ValueError("scales must be distinct")
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("points must be finite")
+    if len(pts) > 1 and float(np.max(hi - lo)) == 0.0:
         raise DegenerateCloud("all points coincide")
     org = (
         np.zeros(pts.shape[1])
         if origin is None
         else np.asarray(origin, float).reshape(-1)
     )
+    if not np.isfinite(org).all():
+        raise ValueError("origin must be finite")
+    # floor((x - o) / s) is monotone in x and shrinks in magnitude as s grows,
+    # so the column extremes at the finest scale bound every cell index.
+    if not (np.all(np.floor((lo - org) / scales[-1]) >= -(2.0**63))
+            and np.all(np.floor((hi - org) / scales[-1]) < 2.0**63)):
+        raise ValueError("a cell index at the finest scale does not fit in int64")
     counts = []
     for s in scales:
         keys = np.sort(_row_keys(np.floor((pts - org) / s).astype(np.int64)))

@@ -328,6 +328,11 @@ class TestUsageErrors:
         ["certify", "--model", "transverse-knot", "--knot-eps", "inf"],
         ["certify", "--model", "transverse-knot", "--c", "nan"],
         ["descent", "--model", "transverse-knot", "--delta", "inf"],
+        # Cell indices past int64 at 1e-19 once wrapped into a false pass.
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+         "--scales", "1e-17", "1e-19"],
+        ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+         "--scales", "0.1", "0.1"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -336,7 +341,8 @@ class TestUsageErrors:
             "skeleton-section-inf", "descent-tilt-eps-inf", "descent-tilt-eps-nan",
             "descent-tilt-eps-1", "descent-tilt-eps-5",
             "descent-force-G-0", "descent-force-G-nan", "certify-knot-eps-inf",
-            "certify-knot-c-nan", "descent-knot-delta-inf"])
+            "certify-knot-c-nan", "descent-knot-delta-inf", "skeleton-scales-past-int64",
+            "skeleton-scales-repeated"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

@@ -362,6 +362,38 @@ class TestBoxCounting:
         with pytest.raises(ValueError):
             box_counting_dimension(np.random.rand(10, 2), [0.5])
 
+    @pytest.mark.parametrize("scales", [[0.1, 0.1], [0.2, 0.1, 0.1], [0.1, 0.2, 0.1]])
+    def test_repeated_scale_refused(self, scales):
+        # Two equal scales fit a line through one abscissa, or weight it twice.
+        with pytest.raises(ValueError, match="distinct"):
+            box_counting_dimension(np.random.rand(100, 2), scales)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, bad):
+        pts = np.random.default_rng(0).random((100, 2))
+        pts[37, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            box_counting_dimension(pts, [0.5, 0.25])
+
+    @pytest.mark.parametrize("scales", [[1e-17, 1e-19], [1e-300, 1e-301]])
+    def test_cell_index_past_int64_refused(self, scales):
+        # A unit-sized cloud at these scales has cell indices beyond 2**63,
+        # which the int64 cast would wrap or saturate into a false count.
+        pts = np.random.default_rng(0).random((1000, 2))
+        with pytest.raises(ValueError, match="int64"):
+            box_counting_dimension(pts, scales)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cell_index_at_the_int64_edge_counted(self, sign):
+        # Indices of magnitude 2**62 fit; the count is exact.
+        pts = sign * np.array([[2.0**62, 0.0], [2.0**62 + 2.0**11, 0.0]])
+        res = box_counting_dimension(pts, [2.0, 1.0], origin=[0.0, 0.0])
+        assert res.counts == (2, 2)
+
+    def test_non_finite_origin_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            box_counting_dimension(np.random.rand(10, 2), [0.5, 0.25], origin=[np.nan, 0.0])
+
 
 _BAD_CLOUDS = {
     "one-d": np.linspace(0.0, 1.0, 1000),
@@ -472,6 +504,84 @@ def test_block_iteration_matches_whole_array_steps(make, cloud, threads, monkeyp
     monkeypatch.setattr(torus_builder, "_iterate", _stepwise)
     want = cloud(model, 1).points
     assert np.array_equal(got, want)
+
+
+def _solenoid_columns(p):
+    """The solenoid map as a column formula, with cos and sin of every row."""
+    th = p[:, 0]
+    return np.column_stack(
+        [2.0 * th, p[:, 1] / 10.0 + np.cos(th) / 2.0, p[:, 2] / 20.0 + np.sin(th) / 4.0]
+    )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _depth8_section_steps(solenoid, monkeypatch):
+    """The arrays the map sees in a depth-8 section cloud of 100 seeds per
+    branch, one per step: runs of 100 equal angles."""
+    seeded = []
+    with monkeypatch.context() as m:
+        m.setattr(torus_builder, "_iterate", lambda model, pts, depth, threads: seeded.append(pts))
+        section_cloud(solenoid, 8, 100, rng_seed=3)
+    steps = [seeded[0]]
+    for _ in range(7):
+        steps.append(solenoid.chart.reduce(_solenoid_columns(steps[-1])))
+    return steps
+
+
+def _signed_zeros_and_non_finite():
+    # Runs split at -0.0 / +0.0 (sin keeps the sign, and so does y/20 + sin/4
+    # at y = -0.0) and at every NaN; inf repeats, as a run would.
+    th = [0.0, -0.0, -0.0, 0.0, 0.0, np.nan, np.nan, -np.nan, np.inf, np.inf, -np.inf, 1.0, 1.0]
+    return np.column_stack([th, np.full(len(th), 0.5), np.full(len(th), -0.0)])
+
+
+class TestSolenoidRunsMatchColumnFormula:
+    def test_depth8_section_steps(self, solenoid, monkeypatch):
+        for pts in _depth8_section_steps(solenoid, monkeypatch):
+            assert np.count_nonzero(np.diff(pts[:, 0])) < len(pts) // 50  # runs
+            assert np.array_equal(_bits(solenoid.phi(pts)), _bits(_solenoid_columns(pts)))
+
+    def test_chart_samples_with_distinct_angles(self, solenoid):
+        pts = solenoid.chart.sample(20_000, 5)
+        assert len(np.unique(pts[:, 0])) == len(pts)
+        assert np.array_equal(_bits(solenoid.phi(pts)), _bits(_solenoid_columns(pts)))
+
+    def test_signed_zeros_nan_and_inf(self, solenoid):
+        pts = _signed_zeros_and_non_finite()
+        with np.errstate(invalid="ignore"):
+            got, want = solenoid.phi(pts), _solenoid_columns(pts)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(np.signbit(got[:5, 2]), np.signbit(pts[:5, 0]))
+
+    @pytest.mark.parametrize("layout", ["fortran", "row-strided", "column-strided"])
+    def test_memory_layouts(self, solenoid, layout, monkeypatch):
+        pts = _depth8_section_steps(solenoid, monkeypatch)[3]
+        if layout == "fortran":
+            view = np.asfortranarray(pts)
+        elif layout == "row-strided":
+            view = pts[::3]
+        else:
+            wide = np.zeros((len(pts), 6))
+            wide[:, ::2] = pts
+            view = wide[:, ::2]
+        assert np.array_equal(_bits(solenoid.phi(view)), _bits(_solenoid_columns(view)))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_rows(self, solenoid, rows):
+        pts = np.full((rows, 3), 0.25)
+        got = solenoid.phi(pts)
+        assert got.shape == (rows, 3)
+        assert np.array_equal(_bits(got), _bits(_solenoid_columns(pts)))
+
+    def test_skeleton_analysis(self, solenoid):
+        oracle = replace(solenoid, phi=replace(solenoid.phi, forward=_solenoid_columns))
+        got = skeleton_analysis(solenoid, 8, 256 * 100)
+        want = skeleton_analysis(oracle, 8, 256 * 100)
+        assert got.to_dict() == want.to_dict()
+        assert np.array_equal(_bits(got.sample.points), _bits(want.sample.points))
 
 
 def test_cloud_keeps_one_image_row_per_seed():
