@@ -39,27 +39,14 @@ from .torus_builder import (
     skeleton_analysis,
 )
 
-__all__ = ["build_parser", "main", "resolve_threads"]
+__all__ = ["build_parser", "main"]
 
-SCHEMA_VERSION = 1
-THREADS_ENV = "LIOUVILLE_FORGE_THREADS"
+SCHEMA_VERSION = 2
 # Inputs the library rejects, sizes too large to allocate, and output paths
 # that cannot be written (OSError); each ends the command with exit code 2.
 _USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, MemoryError, OSError)
 _K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
                "rounds once at each value")
-
-
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _write_report(args: argparse.Namespace, command: str, status: str, results: dict) -> None:
@@ -72,7 +59,6 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
         "command": command,
         "inputs": inputs,
         "rng_seed": getattr(args, "seed", None),
-        "threads": resolve_threads(getattr(args, "threads", None)),
         "status": status,
         "results": results,
     }
@@ -143,7 +129,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_skeleton(args: argparse.Namespace) -> int:
     model, extra = _build_model(args)
-    threads = resolve_threads(args.threads)
     analysis = skeleton_analysis(
         model,
         args.depth,
@@ -151,7 +136,6 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
         scales=args.scales,
         rng_seed=args.seed,
         theta0=args.section,
-        threads=threads,
     )
     results = {"skeleton": analysis.to_dict(), **extra}
     if args.section is not None:
@@ -166,9 +150,7 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
     elif args.csv_out:
         sample = analysis.sample
         if analysis.route != "cloud":
-            sample = iterate_attractor(
-                model, args.depth, args.seeds, rng_seed=args.seed, threads=threads
-            )
+            sample = iterate_attractor(model, args.depth, args.seeds, rng_seed=args.seed)
         csv_points = sample.points
         csv_names = list(model.chart.names)
 
@@ -216,7 +198,8 @@ def cmd_descent(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (determinism contract)")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker cap (default: {THREADS_ENV} or CPU count)")
+                   help="no effect: iteration runs on one thread; kept so that "
+                   "existing command lines still run")
     p.add_argument("--out", type=str, default=None, help="JSON report path (default stdout)")
 
 

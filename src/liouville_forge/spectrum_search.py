@@ -33,7 +33,6 @@ from .exactlin import (
     alternation_isolate,
     char_poly,
     companion_matrix,
-    determinant,
     refine_root,
     sturm_isolate,
 )
@@ -404,7 +403,7 @@ def seed_lambdas(request: SpectrumRequest) -> SeedLambdas:
 
     Rejection rules keep the seeds pairwise distinct, nonzero, and with a
     nondegenerate product; the perturbation widens from eps/4 toward eps/2
-    if the first 100 draws all fail.
+    if the first 100 draws all fail, and ``ValueError`` ends the last 100.
     """
     m = request.n - 2
     if m == 0:
@@ -426,7 +425,11 @@ def seed_lambdas(request: SpectrumRequest) -> SeedLambdas:
         if abs(float(np.prod(lam))) < 1e-9:
             continue
         return SeedLambdas(tuple(float(v) for v in lam))
-    raise RuntimeError("could not draw admissible seeds")
+    raise ValueError(
+        f"could not draw seeds within eps/2 = {request.eps / 2:g} of the targets "
+        "that stay 1e-6 apart and 1e-6 away from 0, with a product of magnitude "
+        "at least 1e-9; widen eps or move the targets apart and away from 0"
+    )
 
 
 def _k1_floor(sigma: SigmaVector, eps: float) -> int:
@@ -507,10 +510,13 @@ def _certificate_from_matrix(
     middle roles.  Each magnitude condition is decided on the isolating
     interval where it can be; only an interval that straddles its bound is
     refined first.  Middles are checked before the tail, and an accepted
-    certificate carries every interval refined below ``_ROOT_TOL``.
+    certificate carries every interval refined below ``_ROOT_TOL``.  A
+    matrix whose determinant, (-1)^n p(0), is not 1 raises ``ValueError``.
     """
     n = A.n
     poly = char_poly(A)
+    if poly.coeffs[0] != (-1) ** n:
+        raise ValueError("matrix determinant must be exactly 1")
     k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
     guesses = _float_roots(poly)
     iso = None if guesses is None else alternation_isolate(poly, guesses)
@@ -602,8 +608,6 @@ def certify_matrix(
     spectrum whose signs do not alternate around its float roots goes to
     Sturm isolation before it is refused.
     """
-    if determinant(A) != 1:
-        raise ValueError("matrix determinant must be exactly 1")
     n = A.n
     if len(mu) not in (0, n - 2):
         raise ValueError("mu must be empty or have length n-2")

@@ -9,7 +9,6 @@ skeleton attractor, and estimates fractal dimension by box counting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,7 +63,7 @@ class EmptySection(Exception):
     """No sample points fell inside the requested cross-section slab."""
 
 
-class DegenerateCloud(Exception):
+class DegenerateCloud(ValueError):
     """All cloud points coincide; box counting is meaningless."""
 
 
@@ -273,22 +272,14 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
 _CSV_ROWS = 4096
 
 
-def _iterate(model: ContactModel, pts: np.ndarray, depth: int, threads: int) -> np.ndarray:
+def _iterate(model: ContactModel, pts: np.ndarray, depth: int) -> np.ndarray:
     """``pts`` pushed through the map ``depth`` times in place, block by block;
-    rows never mix, so neither the block size nor ``threads`` changes them."""
-    def run(start: int) -> None:
+    rows never mix, so the block size does not change them."""
+    for start in range(0, len(pts), _BLOCK_ROWS):
         block = pts[start : start + _BLOCK_ROWS]
         for _ in range(depth):
             block = model.chart.reduce(model.phi(block))
         pts[start : start + _BLOCK_ROWS] = block
-
-    starts = range(0, len(pts), _BLOCK_ROWS)
-    if threads <= 1:
-        for start in starts:
-            run(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
     return pts
 
 
@@ -316,7 +307,6 @@ def iterate_attractor(
     depth: int,
     seeds: int,
     rng_seed: int = 0,
-    threads: int = 1,
 ) -> SkeletonSample:
     """Push a quasi-random cloud through the map ``depth`` times.
 
@@ -326,7 +316,7 @@ def iterate_attractor(
     since a box count counts distinct cells.
     """
     _require_self_map(model, depth)
-    pts = _iterate(model, model.chart.sample(seeds, rng_seed), depth, threads)
+    pts = _iterate(model, model.chart.sample(seeds, rng_seed), depth)
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 
@@ -336,7 +326,6 @@ def section_cloud(
     seeds_per_branch: int,
     theta0: float = 0.0,
     rng_seed: int = 0,
-    threads: int = 1,
 ) -> SkeletonSample:
     """Depth-m image cloud restricted exactly to a circle-factor fiber.
 
@@ -365,7 +354,7 @@ def section_cloud(
 
     pts = np.tile(block, (branches, 1))
     pts[:, pi_idx] = np.repeat(angles, seeds_per_branch)
-    return SkeletonSample(points=_iterate(model, pts, depth, threads), depth=depth, chart=chart)
+    return SkeletonSample(points=_iterate(model, pts, depth), depth=depth, chart=chart)
 
 
 def cross_section(
@@ -422,17 +411,9 @@ def suggested_section_gap(model: ContactModel, depth: int) -> float:
 
 # -- box counting -------------------------------------------------------------
 
-def box_counting_dimension(
-    points: np.ndarray,
-    scales: Sequence[float],
-    origin: Sequence[float] | None = None,
-) -> BoxCountResult:
-    """Occupied-box counts on origin-anchored grids and the log-log slope.
-
-    Raises ``ValueError`` for fewer than two scales, a repeated, non-finite
-    or non-positive scale, a non-finite point or origin, and a cell index
-    at the finest scale outside int64."""
-    pts = _cloud(points)
+def _sorted_scales(scales: Sequence[float]) -> list[float]:
+    """``scales`` as floats from coarsest to finest; raises ``ValueError``
+    for fewer than two, or for a repeated, non-finite or non-positive one."""
     scales = sorted((float(s) for s in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
@@ -442,6 +423,22 @@ def box_counting_dimension(
         raise ValueError("scales must be positive")
     if len(set(scales)) < len(scales):
         raise ValueError("scales must be distinct")
+    return scales
+
+
+def box_counting_dimension(
+    points: np.ndarray,
+    scales: Sequence[float],
+    origin: Sequence[float] | None = None,
+) -> BoxCountResult:
+    """Occupied-box counts on origin-anchored grids and the log-log slope.
+
+    Raises ``ValueError`` for fewer than two scales, a repeated, non-finite
+    or non-positive scale, a non-finite point or origin, a cell index at the
+    finest scale outside int64, and (as ``DegenerateCloud``) two or more
+    points that all coincide."""
+    pts = _cloud(points)
+    scales = _sorted_scales(scales)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("points must be finite")
@@ -492,7 +489,6 @@ def skeleton_analysis(
     scales: Sequence[float] | None = None,
     rng_seed: int = 0,
     theta0: float | None = None,
-    threads: int = 1,
 ) -> SkeletonAnalysis:
     """Dimension estimate for the skeleton of the associated mapping torus.
 
@@ -502,12 +498,15 @@ def skeleton_analysis(
     another 1), which needs at least one seed per branch,
     ``seeds >= angle_multiplier**depth``.  Otherwise the full attractor
     cloud is box-counted, and a section angle, which that route cannot
-    honour, raises ``ModelError`` before any point is iterated.
+    honour, raises ``ModelError`` before any point is iterated.  Given
+    ``scales`` are checked before any point is seeded.
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
     if theta0 is not None and not math.isfinite(theta0):
         raise ValueError("theta0 must be finite")
+    if scales:
+        scales = _sorted_scales(scales)
     chart = model.chart
     solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
     if not solenoid_like and theta0 is not None:
@@ -520,7 +519,7 @@ def skeleton_analysis(
             raise ValueError("the section route needs seeds >= angle_multiplier**depth")
         per_branch = max(8, seeds // branches)
         angle = 0.0 if theta0 is None else theta0
-        sample = section_cloud(model, depth, per_branch, angle, rng_seed, threads)
+        sample = section_cloud(model, depth, per_branch, angle, rng_seed)
         pts2 = sample.points[:, chart.interval_idx]
         rate = float(model.params.get("rate_x", model.params.get("rate", 0.5)))
         use_scales = tuple(scales) if scales else _default_section_scales(rate, depth)
@@ -549,7 +548,7 @@ def skeleton_analysis(
             sample=sample,
         )
 
-    sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed, threads=threads)
+    sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
     use_scales = tuple(scales) if scales else _DEFAULT_CLOUD_SCALES
     box = box_counting_dimension(sample.points, use_scales, origin=chart.lows())
     return SkeletonAnalysis(

@@ -10,7 +10,7 @@ import pytest
 
 import liouville_forge
 from liouville_forge import torus_builder
-from liouville_forge.cli import main, resolve_threads
+from liouville_forge.cli import main
 
 
 def run(argv):
@@ -229,21 +229,19 @@ class TestSkeletonThreads:
          "--section", "0.0", "--csv-out", "cloud.csv"],
     ], ids=["solenoid-section", "jet-space-section", "solenoid-section-csv"])
     def test_reports_and_csv_independent_of_threads(self, argv, tmp_path, monkeypatch):
-        # The pool maps row blocks of the section cloud; the bytes must not
-        # depend on it.
+        # Iteration is serial; --threads is accepted, echoed and has no effect.
         monkeypatch.chdir(tmp_path)
-        reports, csvs = [], []
-        for threads in ("1", "2"):
-            assert run(argv + ["--seed", "11", "--threads", threads, "--out", "r.json"]) == 0
-            reports.append(json.loads(Path("r.json").read_text()))
+        texts, csvs = [], []
+        for extra in (["--threads", "2"], []):
+            assert run(argv + ["--seed", "11", *extra, "--out", "r.json"]) == 0
+            texts.append(Path("r.json").read_text())
             csvs.append(Path("cloud.csv").read_bytes() if "--csv-out" in argv else b"")
-        one, two = reports
-        assert one["results"] == two["results"]
         assert csvs[0] == csvs[1]
-        assert (one["threads"], two["threads"]) == (1, 2)
-        for rep in reports:
-            del rep["threads"], rep["inputs"]["threads"]
-        assert one == two
+        two, default = (json.loads(t) for t in texts)
+        assert (two["inputs"]["threads"], default["inputs"]["threads"]) == (2, None)
+        assert texts[0].replace('"threads": 2', '"threads": null') == texts[1]
+        assert "threads" not in default
+        assert default["schema_version"] == 2
 
 
 class TestDescent:
@@ -333,6 +331,10 @@ class TestUsageErrors:
          "--scales", "1e-17", "1e-19"],
         ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
          "--scales", "0.1", "0.1"],
+        # Every z and p coordinate halves to 0: a cloud of one point.
+        ["skeleton", "--model", "jet-space", "--depth", "1100", "--seeds", "100"],
+        # Seeds within eps/2 of 1 cannot stay 1e-6 apart.
+        ["find-matrix", "--n", "4", "--mu", "1", "1", "--eps", "1e-7"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -342,7 +344,8 @@ class TestUsageErrors:
             "descent-tilt-eps-1", "descent-tilt-eps-5",
             "descent-force-G-0", "descent-force-G-nan", "certify-knot-eps-inf",
             "certify-knot-c-nan", "descent-knot-delta-inf", "skeleton-scales-past-int64",
-            "skeleton-scales-repeated"])
+            "skeleton-scales-repeated", "skeleton-collapsed-cloud",
+            "find-matrix-seeds-undrawable"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
@@ -413,7 +416,7 @@ class TestReportShape:
         run(["find-matrix", "--n", "2", "--eps", "0.5", "--out", str(out)])
         text = out.read_text()
         rep = json.loads(text)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["tool_version"]
         assert rep["inputs"]["eps"] == 0.5
         # keys serialized in sorted order at the top level
@@ -433,16 +436,3 @@ class TestReportShape:
         run(["certify", "--model", "solenoid", "--samples", "100", "--tol", "1e-8",
              "--out", str(out)])
         assert '"tol": 1e-08' in out.read_text()
-
-
-class TestThreads:
-    def test_explicit_wins(self):
-        assert resolve_threads(4) == 4
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("LIOUVILLE_FORGE_THREADS", "3")
-        assert resolve_threads(None) == 3
-
-    def test_default_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("LIOUVILLE_FORGE_THREADS", raising=False)
-        assert resolve_threads(None) >= 1

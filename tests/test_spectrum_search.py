@@ -562,6 +562,12 @@ class TestCertifyMatrix:
         )
         assert cert.k == (3,)
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[2, 0], [0, 1]]],
+                             ids=["det-minus-1", "det-2"])
+    def test_rejects_determinant_other_than_1(self, rows):
+        with pytest.raises(ValueError, match="determinant must be exactly 1"):
+            certify_matrix(IntMatrix.from_rows(rows))
+
     def test_rejects_complex_spectrum(self):
         with pytest.raises(ValueError):
             certify_matrix(IntMatrix.from_rows([[0, -1], [1, 0]]))  # rotation

@@ -449,20 +449,6 @@ def _cat_map():
     return anosov_model(cert.matrix, cert)
 
 
-@pytest.mark.parametrize(
-    "make, depth, seeds",
-    [(lambda: builtin_model("solenoid"), 4, 200_000), (_cat_map, 3, 100_000)],
-    ids=["solenoid-section", "cat-map-cloud"],
-)
-def test_skeleton_analysis_independent_of_threads(make, depth, seeds):
-    # Both clouds exceed the size at which the map is applied in pooled chunks.
-    model = make()
-    one = skeleton_analysis(model, depth, seeds, rng_seed=0, threads=1)
-    two = skeleton_analysis(model, depth, seeds, rng_seed=0, threads=2)
-    assert two.to_dict() == one.to_dict()
-    assert np.array_equal(two.sample.points, one.sample.points)
-
-
 def _mod_reduce(chart, pts):
     """Chart.reduce's result written with np.mod: the period folds to 0.0."""
     out = pts.copy()
@@ -474,7 +460,7 @@ def _mod_reduce(chart, pts):
     return out
 
 
-def _stepwise(model, pts, depth, threads):
+def _stepwise(model, pts, depth):
     """Reference for the block iteration: the whole array, one step at a
     time, wrapped by np.mod rather than by the Chart.reduce under test."""
     for _ in range(depth):
@@ -482,27 +468,26 @@ def _stepwise(model, pts, depth, threads):
     return pts
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "make, cloud",
     [
         # 256 branches of 100 seeds: three full blocks and a partial one.
         (lambda: builtin_model("solenoid"),
-         lambda m, t: section_cloud(m, 8, 100, rng_seed=3, threads=t)),
+         lambda m: section_cloud(m, 8, 100, rng_seed=3)),
         (lambda: builtin_model("jet_space"),
-         lambda m, t: section_cloud(m, 6, 20_000, rng_seed=3, threads=t)),
-        (_cat_map, lambda m, t: iterate_attractor(m, 3, 20_000, rng_seed=3, threads=t)),
+         lambda m: section_cloud(m, 6, 20_000, rng_seed=3)),
+        (_cat_map, lambda m: iterate_attractor(m, 3, 20_000, rng_seed=3)),
         (lambda: builtin_model("solenoid"),
-         lambda m, t: iterate_attractor(m, 4, 1000, rng_seed=3, threads=t)),
+         lambda m: iterate_attractor(m, 4, 1000, rng_seed=3)),
     ],
     ids=["solenoid-section-depth8", "jet-space-section", "cat-map-cloud",
          "smaller-than-a-block"],
 )
-def test_block_iteration_matches_whole_array_steps(make, cloud, threads, monkeypatch):
+def test_block_iteration_matches_whole_array_steps(make, cloud, monkeypatch):
     model = make()
-    got = cloud(model, threads).points
+    got = cloud(model).points
     monkeypatch.setattr(torus_builder, "_iterate", _stepwise)
-    want = cloud(model, 1).points
+    want = cloud(model).points
     assert np.array_equal(got, want)
 
 
@@ -523,7 +508,7 @@ def _depth8_section_steps(solenoid, monkeypatch):
     branch, one per step: runs of 100 equal angles."""
     seeded = []
     with monkeypatch.context() as m:
-        m.setattr(torus_builder, "_iterate", lambda model, pts, depth, threads: seeded.append(pts))
+        m.setattr(torus_builder, "_iterate", lambda model, pts, depth: seeded.append(pts))
         section_cloud(solenoid, 8, 100, rng_seed=3)
     steps = [seeded[0]]
     for _ in range(7):
@@ -589,7 +574,7 @@ def test_cloud_keeps_one_image_row_per_seed():
     # 20; the cloud keeps every copy, in seed order.
     model = builtin_model("solenoid")
     got = iterate_attractor(model, 20, 200_000, rng_seed=0).points
-    want = _stepwise(model, model.chart.sample(200_000, 0), 20, 1)
+    want = _stepwise(model, model.chart.sample(200_000, 0), 20)
     assert np.array_equal(got, want)
 
 
@@ -600,6 +585,15 @@ def test_section_angle_on_cloud_route_refused_before_iterating(monkeypatch):
     monkeypatch.setattr(torus_builder, "_iterate", no_iteration)
     with pytest.raises(ModelError):
         skeleton_analysis(_cat_map(), 2, 1000, theta0=0.0)
+
+
+def test_scales_refused_before_iterating(monkeypatch):
+    def no_iteration(*args):
+        raise AssertionError("the cloud was iterated")
+
+    monkeypatch.setattr(torus_builder, "_iterate", no_iteration)
+    with pytest.raises(ValueError, match="distinct"):
+        skeleton_analysis(builtin_model("solenoid"), 3, 4000, scales=(0.1, 0.1))
 
 
 @pytest.mark.parametrize("theta0", [1e10, -1e10, 1e15])
