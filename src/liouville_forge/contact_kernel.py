@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "OneForm",
     "SmoothMap",
     "ContactModel",
+    "Section",
     "ContractionCertificate",
     "UnknownModel",
     "EigenFailure",
@@ -321,13 +322,20 @@ def fd_jacobian(fn: Callable, pts: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+class Section(NamedTuple):
+    """Angle multiplier and interval rates, in chart order, of a map measured on a fiber."""
+    multiplier: int
+    rates: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class ContactModel:
     """Chart, contact form, and (optionally) a candidate contraction map.
 
     Maps that land in a differently-parameterized neighborhood carry a
     separate target chart and the coordinate expression of the same form
-    there; self-maps leave both unset.
+    there; self-maps leave both unset.  ``section`` is ``None`` on models
+    whose skeleton is measured through their full cloud.
     """
 
     name: str
@@ -338,6 +346,7 @@ class ContactModel:
     target_chart: Chart | None = None
     target_alpha: OneForm | None = None
     g_extension: Callable[[np.ndarray], np.ndarray] | None = None
+    section: Section | None = None
 
     @property
     def codomain(self) -> Chart:
@@ -583,7 +592,7 @@ def _alpha_x3_1(p):
     return out
 
 
-def _jet_space_model(params: dict) -> ContactModel:
+def _jet_space_model() -> ContactModel:
     chart = Chart(
         (
             Coord.interval("z", -1.0, 1.0),
@@ -608,11 +617,11 @@ def _jet_space_model(params: dict) -> ContactModel:
         chart=chart,
         alpha=OneForm(_alpha_1_mx3, "dz - p dq"),
         phi=SmoothMap(forward, jacobian, inverse),
-        params={"rate": 0.5, "angle_multiplier": 1, **params},
+        section=Section(1, (0.5, 0.5)),
     )
 
 
-def _solenoid_model(params: dict) -> ContactModel:
+def _solenoid_model() -> ContactModel:
     chart = Chart(
         (
             Coord.circle("theta", TWO_PI),
@@ -666,16 +675,17 @@ def _solenoid_model(params: dict) -> ContactModel:
         chart=chart,
         alpha=OneForm(_alpha_x3_1, "dx + y dtheta"),
         phi=SmoothMap(forward, jacobian, inverse),
-        params={"rate_x": 0.1, "rate_y": 0.05, "angle_multiplier": 2, **params},
+        section=Section(2, (0.1, 0.05)),
     )
 
 
-def _transverse_knot_model(params: dict) -> ContactModel:
-    c = float(params.get("c", 0.1))
-    delta = float(params.get("delta", 1e-3))
-    eps = float(params.get("eps", 0.5))
+def _transverse_knot_model(c=0.1, delta=1e-3, eps=0.5) -> ContactModel:
+    c, delta, eps = float(c), float(delta), float(eps)
     if not all(math.isfinite(v) and v > 0 for v in (c, delta, eps)):
         raise ValueError("transverse_knot parameters must be finite and positive")
+    # The Jacobian squares delta in Python floats, which raise on overflow.
+    if not math.isfinite(delta * delta):
+        raise ValueError(f"transverse_knot delta = {delta:g} is too large: delta**2 overflows")
     chart = Chart(
         (
             Coord.circle("theta", 1.0),
@@ -740,11 +750,12 @@ BUILTIN_MODELS = tuple(_BUILDERS)
 
 
 def builtin_model(name: str, params: dict | None = None) -> ContactModel:
-    """Construct a built-in model with hard-coded analytic Jacobians."""
+    """Construct a built-in model with hard-coded analytic Jacobians; ``params``
+    other than the knot's ``c``, ``delta`` and ``eps`` raise ``TypeError``."""
     builder = _BUILDERS.get(name.replace("-", "_"))
     if builder is None:
         raise UnknownModel(f"unknown model {name!r}")
-    return builder(dict(params or {}))
+    return builder(**(params or {}))
 
 
 # -- hyperbolic torus model ---------------------------------------------------

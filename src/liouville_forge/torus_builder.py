@@ -9,6 +9,7 @@ skeleton attractor, and estimates fractal dimension by box counting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -103,6 +104,10 @@ class MappingTorusModel:
         g0 = self.G.constant
         if g0 is not None and not (math.isfinite(g0) and g0 > 0):
             raise ValueError("a constant roof must be finite and positive")
+        # descent_check takes e^(s+G) for s up to G, which overflows from here.
+        if g0 is not None and 2.0 * g0 >= math.log(sys.float_info.max):
+            raise ValueError(f"a constant roof G = {g0:g} is too large to check: "
+                             "2G must stay below log(DBL_MAX) = 709.78")
 
 
 @dataclass(frozen=True)
@@ -335,15 +340,16 @@ def section_cloud(
     of slab-thickness smearing: every point lies on the fiber.
     """
     _require_self_map(model, depth)
-    chart = model.chart
+    chart, section = model.chart, model.section
     if len(chart.periodic_idx) != 1:
         raise ModelError("section seeding needs exactly one circle factor")
-    mult = int(model.params.get("angle_multiplier", 0))
-    if mult < 1:
-        raise ModelError("model does not expose an angle multiplier")
+    if section is None or not (isinstance(section.multiplier, int) and section.multiplier >= 1):
+        raise ModelError("model does not declare a section with an integer multiplier >= 1")
+    if len(section.rates) != len(chart.interval_idx):
+        raise ModelError("a section needs one rate per interval coordinate")
     pi_idx = chart.periodic_idx[0]
     period = chart.coords[pi_idx].period
-    branches = mult**depth
+    branches = section.multiplier**depth
     angles = (theta0 % period + period * np.arange(branches)) / branches
 
     u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
@@ -402,11 +408,10 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
 
 def suggested_section_gap(model: ContactModel, depth: int) -> float:
     """Linkage threshold between sibling-cluster spacing and in-cluster
-    spacing, from the model's slower contraction rate."""
-    rate = model.params.get("rate_y")
-    if rate is None:
-        raise ModelError("model does not expose per-coordinate contraction rates")
-    return 0.25 * float(rate) ** max(depth - 1, 0)
+    spacing, from the slowest rate of the model's section."""
+    if model.section is None:
+        raise ModelError("model does not declare a section")
+    return 0.25 * min(model.section.rates) ** max(depth - 1, 0)
 
 
 # -- box counting -------------------------------------------------------------
@@ -492,14 +497,15 @@ def skeleton_analysis(
 ) -> SkeletonAnalysis:
     """Dimension estimate for the skeleton of the associated mapping torus.
 
-    The suspension direction contributes exactly 1.  Models with a single
-    circle factor are measured through the fiber cross-section at angle
+    The suspension direction contributes exactly 1.  Models that declare a
+    ``section`` are measured through the fiber cross-section at angle
     ``theta0`` (0 when it is ``None``; the circle direction contributes
     another 1), which needs at least one seed per branch,
-    ``seeds >= angle_multiplier**depth``.  Otherwise the full attractor
-    cloud is box-counted, and a section angle, which that route cannot
-    honour, raises ``ModelError`` before any point is iterated.  Given
-    ``scales`` are checked before any point is seeded.
+    ``seeds >= multiplier**depth``, and clusters are counted when the
+    multiplier is above 1.  Otherwise the full attractor cloud is counted,
+    and a section angle, which that route cannot honour, raises
+    ``ModelError`` before any point is iterated.  Given ``scales`` are
+    checked before any point is seeded.
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
@@ -507,34 +513,30 @@ def skeleton_analysis(
         raise ValueError("theta0 must be finite")
     if scales:
         scales = _sorted_scales(scales)
-    chart = model.chart
-    solenoid_like = len(chart.periodic_idx) == 1 and model.params.get("angle_multiplier")
-    if not solenoid_like and theta0 is not None:
-        raise ModelError("a section angle needs a model with one circle factor and an "
-                         "angle multiplier; this model is measured through its full cloud")
-    if solenoid_like:
-        mult = int(model.params["angle_multiplier"])
-        branches = max(1, mult**depth)
+    chart, section = model.chart, model.section
+    if section is None and theta0 is not None:
+        raise ModelError("a section angle needs a model that declares a section; "
+                         "this model is measured through its full cloud")
+    if section is not None:
+        branches = max(1, section.multiplier**depth)
         if seeds < branches:
-            raise ValueError("the section route needs seeds >= angle_multiplier**depth")
+            raise ValueError("the section route needs seeds >= multiplier**depth")
         per_branch = max(8, seeds // branches)
         angle = 0.0 if theta0 is None else theta0
         sample = section_cloud(model, depth, per_branch, angle, rng_seed)
         pts2 = sample.points[:, chart.interval_idx]
-        rate = float(model.params.get("rate_x", model.params.get("rate", 0.5)))
-        use_scales = tuple(scales) if scales else _default_section_scales(rate, depth)
+        use_scales = tuple(scales) if scales else _default_section_scales(section.rates[0], depth)
         lows = np.array([chart.coords[i].lo for i in chart.interval_idx])
         box = box_counting_dimension(pts2, use_scales, origin=lows)
         clusters = None
-        if "rate_y" in model.params:
+        if section.multiplier > 1:
             # A branch is the seed box shrunk by rate**depth per coordinate;
             # it links up at the gap only with about 3 points per gap-sized
             # cell of that box.  With fewer, the count is left unclaimed.
             gap = suggested_section_gap(model, depth)
-            rates = (rate, float(model.params["rate_y"]))
             need = math.ceil(3 * math.prod(
                 max(1.0, (chart.coords[i].hi - chart.coords[i].lo) * r**depth / gap)
-                for i, r in zip(chart.interval_idx, rates)
+                for i, r in zip(chart.interval_idx, section.rates)
             ))
             if per_branch >= need:
                 clusters = count_clusters(pts2[:: max(1, per_branch // need)], gap)

@@ -335,6 +335,12 @@ class TestUsageErrors:
         ["skeleton", "--model", "jet-space", "--depth", "1100", "--seeds", "100"],
         # Seeds within eps/2 of 1 cannot stay 1e-6 apart.
         ["find-matrix", "--n", "4", "--mu", "1", "1", "--eps", "1e-7"],
+        # delta**2 overflows in the knot's Jacobian.
+        ["certify", "--model", "transverse-knot", "--delta", "1e160"],
+        ["descent", "--model", "transverse-knot", "--delta", "1e160"],
+        # e^(s+G) overflows for a roof with 2G >= log(DBL_MAX).
+        ["descent", "--model", "jet-space", "--force-G", "400"],
+        ["descent", "--model", "solenoid", "--force-G", "400"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -345,7 +351,9 @@ class TestUsageErrors:
             "descent-force-G-0", "descent-force-G-nan", "certify-knot-eps-inf",
             "certify-knot-c-nan", "descent-knot-delta-inf", "skeleton-scales-past-int64",
             "skeleton-scales-repeated", "skeleton-collapsed-cloud",
-            "find-matrix-seeds-undrawable"])
+            "find-matrix-seeds-undrawable", "certify-knot-delta-overflow",
+            "descent-knot-delta-overflow", "descent-jet-force-G-overflow",
+            "descent-solenoid-force-G-overflow"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

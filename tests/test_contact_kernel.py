@@ -400,6 +400,32 @@ class TestBuiltinModels:
         with pytest.raises(UnknownModel):
             builtin_model("moebius")
 
+    @pytest.mark.parametrize("name, params", [
+        ("solenoid", {"angle_multiplier": 3}),
+        ("solenoid", {"rate_x": 0.5}),
+        ("solenoid", {"rate_y": 0.5}),
+        ("jet_space", {"rate": 0.25}),
+        # A misspelled knot parameter is refused, not ignored.
+        ("transverse_knot", {"C": 1}),
+    ])
+    def test_parameters_the_model_does_not_take_raise(self, name, params):
+        # The map stays the same whatever the keys say, so a key that only
+        # moved the section's seeding, scales or gap made a false report.
+        with pytest.raises(TypeError):
+            builtin_model(name, params)
+
+    def test_sections(self, solenoid, jet, knot):
+        assert solenoid.section == (2, (0.1, 0.05))
+        assert jet.section == (1, (0.5, 0.5))
+        assert knot.section is None
+
+    def test_knot_delta_whose_square_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="delta"):
+            builtin_model("transverse_knot", {"delta": 1e160})
+        # A delta whose square fits still builds and squares in floats.
+        knot = builtin_model("transverse_knot", {"delta": 1e154})
+        assert np.isfinite(knot.phi.jac(np.array([[0.0, 0.0, 1.0]]))).all()
+
     def test_jet_factor(self, jet):
         f = model_conformal_factors(jet, np.array([[0.1, 0.9, 0.3]]))[0]
         assert f[0] == pytest.approx(0.5, abs=1e-12)

@@ -15,6 +15,7 @@ from liouville_forge.contact_kernel import (
     Coord,
     ModelError,
     OneForm,
+    Section,
     SmoothMap,
     anosov_model,
     builtin_model,
@@ -134,6 +135,18 @@ class TestDescent:
             descent_check(bad, samples=300)
         # scale |1 - 10/9| times the form magnitude
         assert err.value.residual > 1e-2
+
+    def test_constant_roof_too_large_to_check_refused(self, solenoid):
+        # e^(s+G) for s up to G overflows once 2G reaches log(DBL_MAX) and
+        # once wrote a NaN residual into the report.
+        def roof(g):
+            return GExtension(lambda p: np.full(len(p), g), "forced", g)
+
+        with pytest.raises(ValueError, match="too large"):
+            MappingTorusModel(solenoid, roof(355.0))
+        with pytest.raises(DescentViolation) as err:
+            descent_check(MappingTorusModel(solenoid, roof(354.8)), samples=300)
+        assert math.isfinite(err.value.residual)
 
     @pytest.mark.parametrize("check_seed", [0, 11])
     def test_varying_factor_gets_failing_constant_roof(self, check_seed):
@@ -594,6 +607,35 @@ def test_scales_refused_before_iterating(monkeypatch):
     monkeypatch.setattr(torus_builder, "_iterate", no_iteration)
     with pytest.raises(ValueError, match="distinct"):
         skeleton_analysis(builtin_model("solenoid"), 3, 4000, scales=(0.1, 0.1))
+
+
+def test_model_without_section_takes_cloud_route(solenoid):
+    cloud_model = replace(solenoid, section=None)
+    with pytest.raises(ModelError):
+        skeleton_analysis(cloud_model, 2, 1000, theta0=0.0)
+    analysis = skeleton_analysis(cloud_model, 2, 1000)
+    assert analysis.route == "cloud"
+    assert analysis.section_clusters is None
+    assert analysis.sample.points.shape == (1000, 3)
+
+
+@pytest.mark.parametrize("section", [
+    Section(2, (0.1,)),
+    Section(2, (0.1, 0.05, 0.05)),
+    Section(0, (0.1, 0.05)),
+    Section(2.0, (0.1, 0.05)),
+], ids=["too-few-rates", "too-many-rates", "multiplier-0", "multiplier-float"])
+def test_section_record_checked(solenoid, section):
+    with pytest.raises(ModelError):
+        section_cloud(replace(solenoid, section=section), 2, 100)
+    with pytest.raises(ModelError):
+        skeleton_analysis(replace(solenoid, section=section), 2, 1000)
+
+
+def test_section_clusters_counted_only_above_multiplier_1(solenoid):
+    assert skeleton_analysis(solenoid, 3, 20000).section_clusters == 8
+    jet = builtin_model("jet_space")
+    assert skeleton_analysis(jet, 3, 20000).section_clusters is None
 
 
 @pytest.mark.parametrize("theta0", [1e10, -1e10, 1e15])
