@@ -25,7 +25,7 @@ determinant, of the first, for every row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -42,6 +42,7 @@ __all__ = [
     "SmoothMap",
     "ContactModel",
     "Section",
+    "Affine",
     "ContractionCertificate",
     "UnknownModel",
     "EigenFailure",
@@ -328,6 +329,13 @@ class Section(NamedTuple):
     rates: tuple[float, ...]
 
 
+class Affine(NamedTuple):
+    """Interval rates in chart order, and the integer torus matrix with its exact inverse."""
+    rates: tuple[float, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class ContactModel:
     """Chart, contact form, and (optionally) a candidate contraction map.
@@ -335,18 +343,19 @@ class ContactModel:
     Maps that land in a differently-parameterized neighborhood carry a
     separate target chart and the coordinate expression of the same form
     there; self-maps leave both unset.  ``section`` is ``None`` on models
-    whose skeleton is measured through their full cloud.
+    whose skeleton is measured through their full cloud; ``affine`` is
+    ``None`` unless ``phi`` was built from it.
     """
 
     name: str
     chart: Chart
     alpha: OneForm
     phi: SmoothMap | None = None
-    params: dict = field(default_factory=dict)
     target_chart: Chart | None = None
     target_alpha: OneForm | None = None
     g_extension: Callable[[np.ndarray], np.ndarray] | None = None
     section: Section | None = None
+    affine: Affine | None = None
 
     @property
     def codomain(self) -> Chart:
@@ -501,6 +510,8 @@ def certify_contraction(
     three contraction axioms; per-axiom verdicts are recorded, not thrown."""
     if model.phi is None:
         raise ModelError("model has no map to certify")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     chart = model.chart
     codomain = model.codomain
     pts = np.vstack([chart.sample(samples, rng_seed), chart.probe_points()])
@@ -592,6 +603,34 @@ def _alpha_x3_1(p):
     return out
 
 
+def _affine_map(chart: Chart, affine: Affine) -> SmoothMap:
+    """Interval coordinates times ``affine.rates``, circle coordinates x to A x:
+    the map, its constant Jacobian and its one inverse branch."""
+    iv, pe, d = list(chart.interval_idx), list(chart.periodic_idx), chart.dim
+    rates = np.array(affine.rates)
+    a, a_inv = np.array(affine.matrix, dtype=float), np.array(affine.inverse, dtype=float)
+    jac_const = np.zeros((d, d))
+    jac_const[iv, iv] = rates
+    jac_const[np.ix_(pe, pe)] = a
+
+    def forward(p):
+        out = np.empty_like(p)
+        out[:, iv] = p[:, iv] * rates
+        out[:, pe] = np.dot(p[:, pe], a.T)
+        return out
+
+    def jacobian(p):
+        return np.broadcast_to(jac_const, (len(p), d, d))
+
+    def inverse(p):
+        out = np.empty_like(p)
+        out[:, iv] = p[:, iv] / rates
+        out[:, pe] = np.dot(p[:, pe], a_inv.T)
+        return out[:, None, :]
+
+    return SmoothMap(forward, jacobian, inverse)
+
+
 def _jet_space_model() -> ContactModel:
     chart = Chart(
         (
@@ -600,24 +639,14 @@ def _jet_space_model() -> ContactModel:
             Coord.interval("p", -1.0, 1.0),
         )
     )
-
-    def forward(p):
-        return np.column_stack([p[:, 0] / 2.0, p[:, 1], p[:, 2] / 2.0])
-
-    jac_const = np.diag([0.5, 1.0, 0.5])
-
-    def jacobian(p):
-        return np.broadcast_to(jac_const, (len(p), 3, 3))
-
-    def inverse(p):
-        return np.column_stack([2.0 * p[:, 0], p[:, 1], 2.0 * p[:, 2]])[:, None, :]
-
+    affine = Affine((0.5, 0.5), ((1,),), ((1,),))
     return ContactModel(
         name="jet_space",
         chart=chart,
         alpha=OneForm(_alpha_1_mx3, "dz - p dq"),
-        phi=SmoothMap(forward, jacobian, inverse),
-        section=Section(1, (0.5, 0.5)),
+        phi=_affine_map(chart, affine),
+        section=Section(1, affine.rates),
+        affine=affine,
     )
 
 
@@ -734,7 +763,6 @@ def _transverse_knot_model(c=0.1, delta=1e-3, eps=0.5) -> ContactModel:
         chart=chart,
         alpha=OneForm(_alpha_1_mx3, "dtheta - y dx"),
         phi=SmoothMap(forward, jacobian, inverse),
-        params={"c": c, "delta": delta, "eps": eps},
         target_chart=target,
         target_alpha=OneForm(_alpha_x3_1, "dx_bar + y_bar dtheta_bar"),
         g_extension=g_ext,
@@ -802,49 +830,23 @@ def anosov_model(A: IntMatrix, cert: SpectrumCertificate) -> ContactModel:
         raise ValueError("matrix determinant must be exactly 1")
     idx = [int(i) for i in order[1:]][::-1] + [int(order[0])]  # beta_1..beta_n, descending
     B = np.vstack([_left_eigenvector(poly, ms, cert.root_intervals[i], roots[i]) for i in idx])
-    rates = lam_n / roots[idx[:-1]]
-    a_float = np.array(A.to_lists(), dtype=float)
+    inverse = tuple(tuple((-1) ** (n + 1) * v for v in row) for row in ms[-1])
+    affine = Affine(tuple(float(lam_n / roots[i]) for i in idx[:-1]), A.entries, inverse)
 
     coords = tuple(
         Coord.interval(f"y{i + 1}", -1.0, 1.0) for i in range(n - 1)
     ) + tuple(Coord.circle(f"x{i + 1}", 1.0) for i in range(n))
     chart = Chart(coords)
-    d = 2 * n - 1
 
     def alpha(p):
         out = np.zeros_like(p)
         out[:, n - 1 :] = B[n - 1][None, :] + p[:, : n - 1] @ B[: n - 1]
         return out
 
-    def forward(p):
-        out = np.empty_like(p)
-        out[:, : n - 1] = p[:, : n - 1] * rates[None, :]
-        out[:, n - 1 :] = p[:, n - 1 :] @ a_float.T
-        return out
-
-    jac_const = np.zeros((d, d))
-    jac_const[: n - 1, : n - 1] = np.diag(rates)
-    jac_const[n - 1 :, n - 1 :] = a_float
-
-    def jacobian(p):
-        return np.broadcast_to(jac_const, (len(p), d, d))
-
-    a_inv = (-1) ** (n + 1) * np.array(ms[-1], dtype=float)
-
-    def inverse(p):
-        out = np.empty_like(p)
-        out[:, : n - 1] = p[:, : n - 1] / rates[None, :]
-        out[:, n - 1 :] = p[:, n - 1 :] @ a_inv.T
-        return out[:, None, :]
-
     return ContactModel(
         name="anosov",
         chart=chart,
         alpha=OneForm(alpha, "beta_n + sum y_i beta_i"),
-        phi=SmoothMap(forward, jacobian, inverse),
-        params={
-            "lambda_n": lam_n,
-            "rates": tuple(float(r) for r in rates),
-            "matrix": tuple(tuple(row) for row in A.entries),
-        },
+        phi=_affine_map(chart, affine),
+        affine=affine,
     )

@@ -435,9 +435,13 @@ def seed_lambdas(request: SpectrumRequest) -> SeedLambdas:
 def _k1_floor(sigma: SigmaVector, eps: float) -> int:
     s1 = sigma.value(1)
     sm = sigma.last
-    bound = max(1.0 / eps, 1.0 / (eps * abs(sm)))
+    # eps * |sm| underflows to 0 only where its reciprocal would overflow.
+    scaled = eps * abs(sm)
+    bound = max(1.0 / eps, 1.0 / scaled if scaled else math.inf)
     if sm > 0:
         bound = max(bound, 2.0 / math.sqrt(sm))
+    if not math.isfinite(s1 + bound):
+        raise ValueError(f"eps = {eps:g} is too small: the k1 floor is not finite")
     return max(1, math.ceil(s1 + bound))
 
 

@@ -209,13 +209,15 @@ def descent_check(
 ) -> float:
     """Max descent residual |e^(s+G(phi x)) phi^*alpha - e^s alpha| over
     sampled (s, x) with s in [0, G(phi x)], the fiber over x; raises unless
-    it is below tolerance (so a NaN residual or tolerance fails).  The form
+    it is below the finite positive ``tol`` (so a NaN residual fails).  The form
     e^s alpha has no ds term, so dG never enters its pullback through the
     gluing map and only the Jacobian of phi does.  One pass over row blocks
     maps each block, reads the roof at its images and keeps each row's
     largest defect only."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     base = model.base
     chart = base.chart
     lo, hi = chart.lows(), chart.highs()

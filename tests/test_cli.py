@@ -277,8 +277,9 @@ class TestDescent:
         out = tmp_path / "r.json"
         code = run(["descent", "--model", "solenoid", "--force-G", "2.1972",
                     "--tol", "nan", "--out", str(out)])
-        assert code == 1
-        assert json.loads(out.read_text())["status"] == "fail"
+        # A tolerance no residual can be checked against is a usage error.
+        assert code == 2
+        assert not out.exists()
 
     def test_jet_space(self, tmp_path):
         out = tmp_path / "r.json"
@@ -341,6 +342,19 @@ class TestUsageErrors:
         # e^(s+G) overflows for a roof with 2G >= log(DBL_MAX).
         ["descent", "--model", "jet-space", "--force-G", "400"],
         ["descent", "--model", "solenoid", "--force-G", "400"],
+        # A tolerance that is not finite and positive: --tol inf passed any residual.
+        ["certify", "--model", "solenoid", "--samples", "100", "--tol", "inf"],
+        ["certify", "--model", "solenoid", "--samples", "100", "--tol", "nan"],
+        ["certify", "--model", "solenoid", "--samples", "100", "--tol", "0"],
+        ["certify", "--model", "solenoid", "--samples", "100", "--tol", "-1"],
+        ["descent", "--model", "solenoid", "--force-G", "0.5", "--tol", "inf"],
+        ["descent", "--model", "solenoid", "--samples", "100", "--tol", "0"],
+        ["descent", "--model", "solenoid", "--samples", "100", "--tol", "-1"],
+        # 1/eps overflows the k1 floor, which ended in an OverflowError traceback.
+        ["find-matrix", "--n", "4", "--mu", "1.0", "1.2", "--eps", "5e-324"],
+        ["certify", "--model", "anosov", "--n", "3", "--mu", "1.0", "--eps", "5e-324"],
+        # eps * sigma_m underflows to 0, which ended in a ZeroDivisionError traceback.
+        ["find-matrix", "--n", "3", "--mu", "0.4", "--eps", "5e-324"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -353,7 +367,10 @@ class TestUsageErrors:
             "skeleton-scales-repeated", "skeleton-collapsed-cloud",
             "find-matrix-seeds-undrawable", "certify-knot-delta-overflow",
             "descent-knot-delta-overflow", "descent-jet-force-G-overflow",
-            "descent-solenoid-force-G-overflow"])
+            "descent-solenoid-force-G-overflow", "certify-tol-inf", "certify-tol-nan",
+            "certify-tol-0", "certify-tol-negative", "descent-tol-inf", "descent-tol-0",
+            "descent-tol-negative", "find-matrix-eps-subnormal", "certify-anosov-eps-subnormal",
+            "find-matrix-eps-times-sigma-underflows"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2

@@ -146,10 +146,10 @@ class TestConformalFactor:
 
     def test_knot_at_y_zero(self, knot):
         f = model_conformal_factors(knot, np.array([[0.3, -0.4, 0.0]]))[0]
-        assert f[0] == pytest.approx(knot.params["delta"], abs=1e-14)
+        assert f[0] == pytest.approx(1e-3, abs=1e-14)  # the builder's default delta
 
     def test_knot_pointwise_formula(self, knot):
-        c, d = knot.params["c"], knot.params["delta"]
+        c, d = 0.1, 1e-3  # the knot builder's defaults
         pts = knot.chart.sample(200, rng_seed=4)
         f = model_conformal_factors(knot, pts)[0]
         assert np.max(np.abs(f - c * d / (c - d * pts[:, 2]))) < 1e-9
@@ -252,7 +252,7 @@ class TestCertifyContraction:
     def test_knot_passes_when_c_dominates(self, knot):
         cert = certify_contraction(knot, samples=10_000, rng_seed=0)
         assert cert.passed
-        c, d = knot.params["c"], knot.params["delta"]
+        c, d = 0.1, 1e-3  # the knot builder's defaults
         assert cert.d3["factor_max"] <= c * d / (c - d) + 1e-12
 
     def test_knot_fails_when_delta_equals_c(self):
@@ -419,6 +419,16 @@ class TestBuiltinModels:
         assert jet.section == (1, (0.5, 0.5))
         assert knot.section is None
 
+    def test_affine_records(self, solenoid, jet, knot, cat_model):
+        assert jet.affine == ((0.5, 0.5), ((1,),), ((1,),))
+        # The jet space's section reads the record's rates.
+        assert jet.section.rates is jet.affine.rates
+        assert cat_model.affine.matrix == ((2, 1), (1, 1))
+        assert cat_model.affine.rates == pytest.approx((LAMBDA_SMALL**2,), rel=1e-14)
+        assert solenoid.affine is None and knot.affine is None
+        for model in (solenoid, jet, knot, cat_model):
+            assert not hasattr(model, "params")
+
     def test_knot_delta_whose_square_overflows_is_refused(self):
         with pytest.raises(ValueError, match="delta"):
             builtin_model("transverse_knot", {"delta": 1e160})
@@ -435,7 +445,7 @@ class TestAnosovEigenforms:
     def test_beta_pullback_relation(self, cat_model):
         # Constant eigen-coefficient forms transform by their eigenvalue
         # under the torus map.
-        mat = np.array(cat_model.params["matrix"], float)
+        mat = np.array(cat_model.affine.matrix, float)
         torus_map = SmoothMap(
             lambda p: p @ mat.T,
             lambda p: np.broadcast_to(mat, (len(p), 2, 2)).copy(),
@@ -470,6 +480,56 @@ class TestAnosovEigenforms:
 
         with pytest.raises(EigenFailure):
             anosov_model(m, cert)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 bit patterns, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _ladder_model(n: int):
+    """The anosov model of the dimension ladder's inputs at ``n``."""
+    mu = tuple(round(float(v), 3) for v in np.linspace(0.6, 1.8, n - 2))
+    cert = find_matrix(SpectrumRequest(n=n, mu=mu, eps=0.5, seed=0))
+    return anosov_model(cert.matrix, cert), cert
+
+
+class TestAffineMaps:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_inverse_is_exact(self, n, cat_model):
+        if n == 2:
+            model, matrix = cat_model, ((2, 1), (1, 1))
+        else:
+            model, cert = _ladder_model(n)
+            matrix = cert.matrix.entries
+        a, a_inv = model.affine.matrix, model.affine.inverse
+        assert a == matrix
+        assert all(isinstance(v, int) for row in a_inv for v in row)
+        product = [[sum(a[i][k] * a_inv[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("name", ["cat_model", "anosov3", "anosov4"])
+    def test_anosov_map_bit_for_bit(self, name, request):
+        # The forward map scales y by the rates and sends x to A x, as the
+        # hand-written map did, on signed zeros too.
+        model = request.getfixturevalue(name)
+        chart = model.chart
+        m = len(chart.interval_idx)
+        pts = np.vstack([chart.sample(500, rng_seed=9), chart.probe_points(),
+                         np.full((1, chart.dim), -0.0),
+                         np.where(np.arange(chart.dim) % 2, -0.0, 0.25)[None, :]])
+        a = np.array(model.affine.matrix, float)
+        want = np.column_stack([pts[:, :m] * np.array(model.affine.rates), pts[:, m:] @ a.T])
+        assert _same_bits(model.phi(pts), want)
+
+    def test_jet_map_bit_for_bit(self, jet):
+        pts = np.vstack([jet.chart.sample(500, rng_seed=9), jet.chart.probe_points()])
+        z, q, p = pts.T
+        assert _same_bits(jet.phi(pts), np.column_stack([z / 2, q, p / 2]))
+        assert _same_bits(jet.phi.inverse(pts)[:, 0], np.column_stack([2 * z, q, 2 * p]))
+        assert _same_bits(jet.phi.jac(pts[:2]), np.broadcast_to(np.diag([0.5, 1.0, 0.5]),
+                                                                (2, 3, 3)))
 
 
 class TestNumericalHygiene:
