@@ -712,9 +712,12 @@ def _transverse_knot_model(c=0.1, delta=1e-3, eps=0.5) -> ContactModel:
     c, delta, eps = float(c), float(delta), float(eps)
     if not all(math.isfinite(v) and v > 0 for v in (c, delta, eps)):
         raise ValueError("transverse_knot parameters must be finite and positive")
-    # The Jacobian squares delta in Python floats, which raise on overflow.
-    if not math.isfinite(delta * delta):
-        raise ValueError(f"transverse_knot delta = {delta:g} is too large: delta**2 overflows")
+    # The map and its Jacobian take c*delta, c/delta and c*delta**2; one that
+    # overflows or underflows to 0 leaves NaN and infinite margins and factors
+    # (and delta**2 raises in Python floats once it overflows).
+    if not all(math.isfinite(v) and v > 0 for v in (c * delta, c / delta, c * (delta * delta))):
+        raise ValueError(f"transverse_knot c = {c:g}, delta = {delta:g} are out of range: "
+                         "c*delta, c/delta and c*delta**2 must be finite and nonzero")
     chart = Chart(
         (
             Coord.circle("theta", 1.0),

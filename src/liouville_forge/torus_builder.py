@@ -292,21 +292,10 @@ def _iterate(model: ContactModel, pts: np.ndarray, depth: int) -> np.ndarray:
 
 def _row_keys(cells: np.ndarray) -> np.ndarray:
     """One key per row of a non-empty integer array, equal exactly when the
-    rows are equal.
-
-    Columns offset by their minimum pack into one int64 in mixed radix; when
-    the product of the column spans does not fit, the keys are a ``void``
-    view of the rows (byte order is not numeric order, equality is exact).
-    """
-    lo = cells.min(axis=0)
-    spans = [int(h) - int(l) + 1 for h, l in zip(cells.max(axis=0), lo)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        rows = np.ascontiguousarray(cells)
-        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    keys = cells[:, 0] - lo[0]
-    for j in range(1, len(spans)):
-        keys = keys * spans[j] + (cells[:, j] - lo[j])
-    return keys
+    rows are equal: a ``void`` view of the rows (byte order is not numeric
+    order, equality is exact)."""
+    rows = np.ascontiguousarray(cells)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def iterate_attractor(
@@ -382,6 +371,22 @@ def cross_section(
     return sample.points[mask][:, chart.interval_idx]
 
 
+def _columns(points: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """``points[:, idx]``, as a view without a copy when ``idx`` is an
+    increasing arithmetic progression."""
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if idx and step > 0 and tuple(range(idx[0], idx[-1] + 1, step)) == tuple(idx):
+        return points[:, idx[0] : idx[-1] + 1 : step]
+    return points[:, idx]
+
+
+def _column_extremes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column minima and maxima of an (N, d) array, one reduction per column:
+    an axis-0 reduction over row-major rows is about ten times slower."""
+    cols = [pts[:, j] for j in range(pts.shape[1])]
+    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+
+
 def _cloud(points: np.ndarray) -> np.ndarray:
     """``points`` as a float (N, d) array with N >= 1, else ``ValueError``."""
     pts = np.asarray(points, float)
@@ -390,22 +395,100 @@ def _cloud(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def count_clusters(points: np.ndarray, gap: float) -> int:
-    """Single-linkage component count at the given gap threshold."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
+def _link(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the edges ``(a, b)`` into ``parent``, a forest in which every
+    entry holds its root.  Each round hooks the larger root of every edge
+    whose ends differ onto the smallest root it meets, then compresses
+    paths by pointer jumping over the entries whose parent was hooked, so
+    that every entry again holds its root."""
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        moved = np.flatnonzero(parent[parent] != parent)
+        while len(moved):
+            parent[moved] = parent[parent[moved]]
+            moved = moved[parent[parent[moved]] != parent[moved]]
 
+
+def count_clusters(points: np.ndarray, gap: float) -> int:
+    """Single-linkage component count at the given gap threshold.
+
+    Two points link when ``Σ dx² <= gap²``, summed over the columns in
+    order: the ``d <= r`` rule of ``scipy.spatial.cKDTree.query_pairs``.
+    Points are binned into cells of side ``gap`` counted from the column
+    minima, so a linked pair lies in one cell or in two adjacent ones.  For
+    ``_BLOCK_ROWS`` points at a time, the candidates are the later points of
+    a point's own cell and every point of half of its 3^d - 1 neighbouring
+    cells (one of each pair of opposite offsets); those that pass the exact
+    test become edges.  Each block's edges are merged into one parent array
+    by hooking roots and compressing paths (``_link``), and the count is the
+    number of roots.
+
+    Raises ``ValueError`` for a gap that is not finite and positive, a
+    non-finite point, or a cell index outside int64.
+    """
     pts = _cloud(points)
-    n = len(pts)
-    pairs = cKDTree(pts).query_pairs(r=gap, output_type="ndarray")
-    if len(pairs) == 0:
-        return n
-    adj = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    ncomp, _ = connected_components(adj, directed=False)
-    return int(ncomp)
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"gap must be finite and positive, got {gap}")
+    n, d = pts.shape
+    lo, hi = _column_extremes(pts)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("points must be finite")
+    # floor((x - lo) / gap) is monotone in x, so the column maxima bound it.
+    top = np.floor((hi - lo) / gap)
+    if not np.all(top < 2.0**63):
+        raise ValueError("a cell index at the gap does not fit in int64")
+    # Cells pack into uint64 keys in mixed radix with a spare digit value per
+    # column, so neighbour keys are the cell's key plus a fixed offset and an
+    # out-of-range neighbour matches no cell.  Past 2^64 the packing wraps
+    # into a hash that is still linear: neighbour keys still match, and a
+    # collision only adds candidates that the exact test drops.  Odd radices
+    # keep every stride odd, so no stride vanishes mod 2^64.
+    strides = [1]
+    for m in top[:0:-1]:
+        strides.insert(0, strides[0] * ((int(m) + 2) | 1) % 2**64)
+    keys = np.zeros(n, np.uint64)
+    for j, s in enumerate(strides):
+        keys += np.floor((pts[:, j] - lo[j]) / gap).astype(np.uint64) * np.uint64(s)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cols = [pts[order, j] for j in range(d)]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], n]
+    cell = np.repeat(np.arange(len(starts)), ends - starts)
+    cell_keys = keys[starts]
+    # The offsets after the centre of {-1, 0, 1}^d in lexicographic order
+    # are those whose first non-zero entry is +1.
+    steps = np.indices((3,) * d).reshape(d, 3**d).T[3**d // 2 + 1 :] - 1
+    shifts = [np.uint64(sum(int(o) * s for o, s in zip(row, strides)) % 2**64) for row in steps]
+
+    limit = gap * gap
+    parent = np.arange(n)
+    for b in range(0, n, _BLOCK_ROWS):
+        src = np.arange(b, min(b + _BLOCK_ROWS, n))
+        first, last = [src + 1], [ends[cell[src]]]
+        src_keys = keys[src]
+        for shift in shifts:
+            want = src_keys + shift
+            at = np.minimum(np.searchsorted(cell_keys, want), len(cell_keys) - 1)
+            hit = cell_keys[at] == want
+            first.append(np.where(hit, starts[at], 0))
+            last.append(np.where(hit, ends[at], 0))
+        first, last = np.concatenate(first), np.concatenate(last)
+        take = last - first
+        i = np.repeat(np.tile(src, len(shifts) + 1), take)
+        k = np.repeat(first - (np.cumsum(take) - take), take) + np.arange(len(i))
+        d2 = np.zeros(len(i))
+        for c in cols:
+            dx = c[i] - c[k]
+            d2 += dx * dx
+        near = d2 <= limit
+        _link(parent, i[near], k[near])
+    return int(np.count_nonzero(parent == np.arange(n)))
 
 
 def suggested_section_gap(model: ContactModel, depth: int) -> float:
@@ -417,6 +500,11 @@ def suggested_section_gap(model: ContactModel, depth: int) -> float:
 
 
 # -- box counting -------------------------------------------------------------
+
+# Rows per block when box keys are packed: a block's rows and two buffers
+# stay in cache through the passes over each column.
+_KEY_ROWS = 32768
+
 
 def _sorted_scales(scales: Sequence[float]) -> list[float]:
     """``scales`` as floats from coarsest to finest; raises ``ValueError``
@@ -446,7 +534,7 @@ def box_counting_dimension(
     points that all coincide."""
     pts = _cloud(points)
     scales = _sorted_scales(scales)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = _column_extremes(pts)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("points must be finite")
     if len(pts) > 1 and float(np.max(hi - lo)) == 0.0:
@@ -454,7 +542,7 @@ def box_counting_dimension(
     org = (
         np.zeros(pts.shape[1])
         if origin is None
-        else np.asarray(origin, float).reshape(-1)
+        else np.broadcast_to(np.asarray(origin, float).reshape(-1), pts.shape[1:])
     )
     if not np.isfinite(org).all():
         raise ValueError("origin must be finite")
@@ -463,9 +551,32 @@ def box_counting_dimension(
     if not (np.all(np.floor((lo - org) / scales[-1]) >= -(2.0**63))
             and np.all(np.floor((hi - org) / scales[-1]) < 2.0**63)):
         raise ValueError("a cell index at the finest scale does not fit in int64")
+    # Each scale packs the cells, offset by the column minima, into one int64
+    # per point in mixed radix, a block of _KEY_ROWS rows and then one column
+    # at a time; only spans whose product passes int64 take the row view.
+    packed = np.empty(len(pts), np.int64)
+    col, cell = np.empty(_KEY_ROWS), np.empty(_KEY_ROWS, np.int64)
     counts = []
     for s in scales:
-        keys = np.sort(_row_keys(np.floor((pts - org) / s).astype(np.int64)))
+        first = np.floor((lo - org) / s)
+        spans = [int(b) - int(a) + 1 for a, b in zip(first, np.floor((hi - org) / s))]
+        if math.prod(spans) > np.iinfo(np.int64).max:
+            keys = np.sort(_row_keys(np.floor((pts - org) / s).astype(np.int64)))
+        else:
+            for start in range(0, len(pts), _KEY_ROWS):
+                rows = pts[start : start + _KEY_ROWS]
+                keys, x, c = packed[start : start + len(rows)], col[: len(rows)], cell[: len(rows)]
+                keys.fill(0)
+                for j, (low, span) in enumerate(zip(first, spans)):
+                    np.subtract(rows[:, j], org[j], out=x)
+                    x /= s
+                    np.floor(x, out=x)
+                    c[:] = x
+                    c -= int(low)
+                    keys *= span
+                    keys += c
+            keys = packed
+            keys.sort()
         counts.append(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
     xs = np.log(1.0 / np.asarray(scales))
     ys = np.log(np.asarray(counts, float))
@@ -526,7 +637,7 @@ def skeleton_analysis(
         per_branch = max(8, seeds // branches)
         angle = 0.0 if theta0 is None else theta0
         sample = section_cloud(model, depth, per_branch, angle, rng_seed)
-        pts2 = sample.points[:, chart.interval_idx]
+        pts2 = _columns(sample.points, chart.interval_idx)
         use_scales = tuple(scales) if scales else _default_section_scales(section.rates[0], depth)
         lows = np.array([chart.coords[i].lo for i in chart.interval_idx])
         box = box_counting_dimension(pts2, use_scales, origin=lows)

@@ -355,6 +355,13 @@ class TestUsageErrors:
         ["certify", "--model", "anosov", "--n", "3", "--mu", "1.0", "--eps", "5e-324"],
         # eps * sigma_m underflows to 0, which ended in a ZeroDivisionError traceback.
         ["find-matrix", "--n", "3", "--mu", "0.4", "--eps", "5e-324"],
+        # c*delta, c/delta or c*delta**2 out of range wrote NaN and -Infinity
+        # margins and factors into a report.
+        ["certify", "--model", "transverse-knot", "--c", "1e308", "--delta", "10",
+         "--samples", "500"],
+        ["certify", "--model", "transverse-knot", "--delta", "5e-324", "--samples", "500"],
+        ["certify", "--model", "transverse-knot", "--c", "1e-170", "--delta", "1e-170",
+         "--samples", "500"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -370,7 +377,8 @@ class TestUsageErrors:
             "descent-solenoid-force-G-overflow", "certify-tol-inf", "certify-tol-nan",
             "certify-tol-0", "certify-tol-negative", "descent-tol-inf", "descent-tol-0",
             "descent-tol-negative", "find-matrix-eps-subnormal", "certify-anosov-eps-subnormal",
-            "find-matrix-eps-times-sigma-underflows"])
+            "find-matrix-eps-times-sigma-underflows", "certify-knot-c-delta-overflow",
+            "certify-knot-c-over-delta-overflow", "certify-knot-c-delta-underflow"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
@@ -416,23 +424,33 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+def _scipy_modules_after(argv, tmp_path):
+    """The scipy modules loaded by one CLI run in a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "import liouville_forge.cli\n"
+        "assert liouville_forge.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(liouville_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", "r.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImports:
+    # The package needs numpy only; scipy is a test dependency.
     def test_find_matrix_imports_no_scipy(self, tmp_path):
-        # scipy is imported only where clusters are counted; a module-level
-        # import would cost every command.
-        script = (
-            "import sys\n"
-            "import liouville_forge.cli\n"
-            "liouville_forge.cli.main(['find-matrix', '--n', '3', '--mu', '1.0',"
-            " '--out', sys.argv[1]])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        src = str(Path(liouville_forge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", script, "r.json"], cwd=tmp_path,
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _scipy_modules_after(["find-matrix", "--n", "3", "--mu", "1.0"], tmp_path) == "[]"
+
+    def test_section_route_imports_no_scipy(self, tmp_path):
+        # This run counts the section's clusters.
+        argv = ["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+                "--section", "0.0"]
+        assert _scipy_modules_after(argv, tmp_path) == "[]"
+        assert json.loads((tmp_path / "r.json").read_text())["results"]["section"]["clusters"] == 8
 
 
 class TestReportShape:

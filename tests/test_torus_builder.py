@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from liouville_forge import contact_kernel, torus_builder
 from liouville_forge.contact_kernel import (
+    _BLOCK_ROWS,
     Chart,
     ContactModel,
     Coord,
@@ -388,6 +392,20 @@ class TestBoxCounting:
         with pytest.raises(ValueError, match="finite"):
             box_counting_dimension(pts, [0.5, 0.25])
 
+    def test_memory_bound(self):
+        # Each scale packs one int64 key per point (8 MB here) in blocks of
+        # rows, one column at a time, then compares neighbouring keys (a
+        # 1 MB mask); the block buffers are 0.5 MB.  The bound is 16 MB:
+        # whole (N, d) arrays of cells took about 48 MB.
+        pts = np.random.default_rng(0).random((1_000_000, 2))
+        tracemalloc.start()
+        try:
+            box_counting_dimension(pts, [2.0**-k for k in range(2, 9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     @pytest.mark.parametrize("scales", [[1e-17, 1e-19], [1e-300, 1e-301]])
     def test_cell_index_past_int64_refused(self, scales):
         # A unit-sized cloud at these scales has cell indices beyond 2**63,
@@ -764,3 +782,66 @@ class TestSectionClusters:
     def test_count_is_right_or_unclaimed(self, solenoid, depth, per_branch):
         clusters = skeleton_analysis(solenoid, depth, per_branch * 2**depth).section_clusters
         assert clusters in (None, 2**depth)
+
+
+def _reference_clusters(points, gap):
+    """Components of the graph linking the pairs within ``gap``, by scipy."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(r=gap, output_type="ndarray")
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return int(connected_components(adj, directed=False)[0])
+
+
+@st.composite
+def _cluster_clouds(draw):
+    """A cloud and a gap: either quarter-gap grid points, many of them
+    exactly ``gap`` apart, over a narrow range or one wide enough that the
+    packed cell keys pass int64 in two and three dimensions; or floats.
+    Both have exact duplicates and negative coordinates."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    gap = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+    if draw(st.booleans()):
+        bound = draw(st.sampled_from((12, 2**40)))
+        coord = st.integers(-bound, bound).map(lambda k: k * gap / 4)
+    else:
+        coord = st.floats(-3.0, 3.0)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=60))
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    return np.array(rows + [rows[i] for i in dups], float), gap
+
+
+class TestCountClusters:
+    @given(_cluster_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_reference(self, cloud_and_gap):
+        pts, gap = cloud_and_gap
+        assert count_clusters(pts, gap) == _reference_clusters(pts, gap)
+
+    def test_one_point(self):
+        assert count_clusters(np.array([[-0.5, 2.0, 7.0]]), 0.1) == 1
+
+    def test_more_rows_than_a_block(self):
+        # About the percolation density, so components of every size span
+        # blocks of _BLOCK_ROWS rows.
+        pts = np.random.default_rng(1).random((3 * _BLOCK_ROWS + 5, 2))
+        gap = 0.006
+        assert count_clusters(pts, gap) == _reference_clusters(pts, gap)
+
+    def test_key_span_past_int64(self):
+        # Clumps spread over 2**42 cells per axis: the packed keys wrap mod
+        # 2**64, and the exact test still drops every false candidate.
+        rng = np.random.default_rng(2)
+        centres = rng.integers(-(2**41), 2**41, size=(300, 3)).astype(float)
+        pts = np.repeat(centres, 6, axis=0) + rng.uniform(-1.0, 1.0, size=(1800, 3))
+        gap = 1.0
+        assert np.prod(np.ptp(pts, axis=0) / gap) > 2.0**64
+        assert count_clusters(pts, gap) == _reference_clusters(pts, gap)
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan, math.inf])
+    def test_gap_not_finite_and_positive_refused(self, gap):
+        with pytest.raises(ValueError, match="gap"):
+            count_clusters(np.random.default_rng(0).random((10, 2)), gap)
+
+    def test_cell_index_past_int64_refused(self):
+        with pytest.raises(ValueError, match="int64"):
+            count_clusters(np.random.default_rng(0).random((100, 2)), 1e-300)
