@@ -538,11 +538,12 @@ def certify_contraction(
     if not finite_img.all():
         notes.append(f"{int((~finite_img).sum())} samples mapped to non-finite points")
 
-    d1_min = float(np.min(margins))
+    # A figure with no finite value is reported as None (JSON null).
+    d1_min = float(np.min(margins)) if finite_img.all() else None
     d1 = {
         "min_margin": d1_min,
         "required_margin": INTERIOR_MARGIN,
-        "pass": bool(finite_img.all() and d1_min >= INTERIOR_MARGIN),
+        "pass": bool(d1_min is not None and d1_min >= INTERIOR_MARGIN),
     }
 
     finite_det = np.isfinite(dets)
@@ -561,15 +562,17 @@ def certify_contraction(
     ok = np.isfinite(f) & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
     valid = np.isfinite(f) & (f > 0.0)
     g = -np.log(f[valid]) if valid.any() else np.array([])
+    if not np.isfinite(f).any():
+        notes.append("no sample has a finite conformal factor")
     d3 = {
         "pass": bool(ok.all()),
-        "factor_min": float(np.min(f[np.isfinite(f)])) if np.isfinite(f).any() else math.nan,
-        "factor_max": float(np.max(f[np.isfinite(f)])) if np.isfinite(f).any() else math.nan,
+        "factor_min": float(np.min(f[np.isfinite(f)])) if np.isfinite(f).any() else None,
+        "factor_max": float(np.max(f[np.isfinite(f)])) if np.isfinite(f).any() else None,
         "max_residual": float(np.max(resid[np.isfinite(resid)]))
         if np.isfinite(resid).any()
-        else math.nan,
-        "g_min": float(g.min()) if g.size else math.nan,
-        "g_max": float(g.max()) if g.size else math.nan,
+        else None,
+        "g_min": float(g.min()) if g.size else None,
+        "g_max": float(g.max()) if g.size else None,
     }
 
     return ContractionCertificate(

@@ -1,13 +1,13 @@
 """Exact integer linear algebra and certified real-root isolation.
 
 Everything here runs over arbitrary-precision integers or exact rationals:
-companion matrices, the trace recursion for p(x) and adj(xI - A),
-determinants (fraction-free elimination), the exact sign of a polynomial at
-a rational point (integer Horner), root isolation by sign alternation around
-supplied guesses or by Sturm sequences, and bisection refinement.  A guess
-only chooses where to evaluate; every verdict rests on exact integer signs,
-so the spectrum certificates built on top of this module are
-bit-trustworthy.
+companion matrices and their polynomials in closed form, the trace
+recursion for p(x) and adj(xI - A), determinants (fraction-free
+elimination), the exact sign of a polynomial at a rational point (integer
+Horner), root isolation by sign alternation around supplied guesses or by
+Sturm sequences, and bisection refinement.  A guess only chooses where to
+evaluate; every verdict rests on exact integer signs, so the spectrum
+certificates built on top of this module are bit-trustworthy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "SquareFreeViolation",
     "NotIsolating",
     "companion_matrix",
+    "companion_poly",
     "trace_recursion",
     "char_poly",
     "determinant",
@@ -113,21 +114,23 @@ def companion_matrix(k: Sequence[int]) -> IntMatrix:
     """Unit-determinant companion-form matrix for an integer tuple.
 
     Ones on the subdiagonal; last column ((-1)^(n+1), (-1)^n k_1,
-    (-1)^(n-1) k_2, ..., k_{n-1}); zeros elsewhere.  The characteristic
-    polynomial is x^n - k_{n-1} x^(n-1) + ... + (-1)^(n-1) k_1 x + (-1)^n,
-    so the determinant is exactly 1.
+    (-1)^(n-1) k_2, ..., k_{n-1}), minus the low coefficients of
+    ``companion_poly(k)``, its characteristic polynomial; zeros elsewhere.
     """
+    c = companion_poly(k).coeffs
+    n = len(c) - 1
+    return IntMatrix.from_rows([int(j == i - 1) for j in range(n - 1)] + [-c[i]] for i in range(n))
+
+
+def companion_poly(k: Sequence[int]) -> IntPolynomial:
+    """Characteristic polynomial of ``companion_matrix(k)`` in closed form,
+    x^n - k_{n-1} x^(n-1) + ... + (-1)^(n-1) k_1 x + (-1)^n, so the
+    determinant is exactly 1; no trace recursion is run."""
     ks = tuple(int(v) for v in k)
     n = len(ks) + 1
     if n < 2:
         raise ValueError("need at least one entry (dimension >= 2)")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    rows[0][n - 1] = (-1) ** (n + 1)
-    for i in range(1, n):
-        rows[i][n - 1] = (-1) ** (n - i + 1) * ks[i - 1]
-    return IntMatrix.from_rows(rows)
+    return IntPolynomial(((-1) ** n, *((-1) ** (n - j) * ks[j - 1] for j in range(1, n)), 1))
 
 
 def _mat_mul(a_rows: list[list[tuple[int, int]]], b: list[list[int]]) -> list[list[int]]:

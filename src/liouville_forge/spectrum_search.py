@@ -6,11 +6,12 @@ symmetric values of the n-2 middle eigenvalues and k1 is the trace.
 ``find_matrix`` seeds the middle eigenvalues near the requested tuple once,
 then tries k1 = ``_k1_floor``, doubling up to ``k1_max``.  At each k1 it
 rounds once, k' = rint(x + k1*sigma), and the exact layer alone accepts or
-rejects the companion matrix of (k1, k'): the float roots of its exact
-characteristic polynomial only say where to evaluate, and an exact sign
-alternation (``exactlin.alternation_isolate``) proves the n simple real
-roots.  The magnitude conditions are decided on those intervals, and
-bisection runs only where an interval straddles a bound.
+rejects the polynomial it rounded, the characteristic polynomial of the
+companion matrix of (k1, k') in closed form (``exactlin.companion_poly``):
+its float roots only say where to evaluate, and an exact sign alternation
+(``exactlin.alternation_isolate``) proves the n simple real roots.  The
+magnitude conditions are decided on those intervals, and bisection runs
+only where an interval straddles a bound.
 
 ``ergodic_scan``, ``newton_refine`` and ``solve_tail`` are earlier float
 stages that ``find_matrix`` no longer calls; they stay importable until the
@@ -33,6 +34,7 @@ from .exactlin import (
     alternation_isolate,
     char_poly,
     companion_matrix,
+    companion_poly,
     refine_root,
     sturm_isolate,
 )
@@ -502,25 +504,23 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
 
 
 def _certificate_from_matrix(
-    A: IntMatrix, mu: Sequence[float], eps: float | None, sturm_fallback: bool = False
+    A: IntMatrix, poly: IntPolynomial, mu: Sequence[float], eps: float | None,
+    sturm_fallback: bool = False,
 ) -> SpectrumCertificate:
-    """Exact verification pass; raises ``_Rejected`` with its reason.
+    """Exact verification pass of A, whose characteristic polynomial is the
+    unit-determinant ``poly``; raises ``_Rejected`` with its reason.
 
-    Reads k off the characteristic polynomial and proves its n simple real
-    roots by sign alternation around its float roots.  With
+    Reads k off ``poly`` and proves its n simple real roots by sign
+    alternation around its float roots.  With
     ``sturm_fallback``, a polynomial whose signs do not alternate is
     isolated by Sturm sequences instead, so a refusal still carries a proof.
     The float roots (or the refined Sturm roots) pick the small, large and
     middle roles.  Each magnitude condition is decided on the isolating
     interval where it can be; only an interval that straddles its bound is
     refined first.  Middles are checked before the tail, and an accepted
-    certificate carries every interval refined below ``_ROOT_TOL``.  A
-    matrix whose determinant, (-1)^n p(0), is not 1 raises ``ValueError``.
+    certificate carries every interval refined below ``_ROOT_TOL``.
     """
     n = A.n
-    poly = char_poly(A)
-    if poly.coeffs[0] != (-1) ** n:
-        raise ValueError("matrix determinant must be exactly 1")
     k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
     guesses = _float_roots(poly)
     iso = None if guesses is None else alternation_isolate(poly, guesses)
@@ -608,16 +608,21 @@ def certify_matrix(
     """Build a certificate for an externally supplied matrix.
 
     The matrix must have unit determinant and an all-real simple spectrum;
-    magnitude conditions are evaluated only when ``eps`` is given.  A
+    magnitude conditions are evaluated only when ``eps`` is given.  Its
+    characteristic polynomial comes from the trace recursion, and a
+    determinant, (-1)^n p(0), other than 1 raises ``ValueError``.  A
     spectrum whose signs do not alternate around its float roots goes to
     Sturm isolation before it is refused.
     """
     n = A.n
     if len(mu) not in (0, n - 2):
         raise ValueError("mu must be empty or have length n-2")
+    poly = char_poly(A)
+    if poly.coeffs[0] != (-1) ** n:
+        raise ValueError("matrix determinant must be exactly 1")
     mu_eff = tuple(mu) if mu else tuple(0.0 for _ in range(n - 2))
     try:
-        cert = _certificate_from_matrix(A, mu_eff, eps, sturm_fallback=True)
+        cert = _certificate_from_matrix(A, poly, mu_eff, eps, sturm_fallback=True)
     except _Rejected as exc:
         raise ValueError(_REFUSALS[exc.args[0]]) from None
     return cert if mu else replace(cert, mu=())
@@ -629,7 +634,8 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
 
     k1 runs through ``_k1_floor`` * 2^i up to ``request.k1_max``.  Each k1
     is rounded once, k' = rint(x + k1*sigma), and ``_certificate_from_matrix``
-    alone accepts or rejects the companion matrix of (k1,) + k'.
+    alone accepts or rejects the polynomial of (k1,) + k', which
+    ``companion_poly`` writes down without the trace recursion.
     ``SearchExhausted`` ends the search past ``k1_max``, or before a
     rounding whose k1*max|sigma| reaches 2**50.  The certificate's ``search``
     holds the counters.
@@ -651,10 +657,12 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
             )
         counters.k1_tried.append(k1)
         kprime = np.rint(x + k1 * rate)
-        A = companion_matrix(tuple(reversed((k1, *(int(v) for v in kprime)))))
+        k = tuple(reversed((k1, *(int(v) for v in kprime))))
         counters.exact_checks += 1
         try:
-            cert = _certificate_from_matrix(A, request.mu, request.eps)
+            cert = _certificate_from_matrix(
+                companion_matrix(k), companion_poly(k), request.mu, request.eps
+            )
         except _Rejected as exc:
             counters.rejections[exc.args[0]] += 1
         else:

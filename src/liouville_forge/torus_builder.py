@@ -3,7 +3,7 @@
 Builds the suspension-with-varying-roof model over a certified contraction,
 checks that the rescaled contact form survives the gluing, verifies boundary
 transversality after the collar tilt, iterates the map to approximate the
-skeleton attractor, and estimates fractal dimension by box counting.
+skeleton attractor, and measures it by box and cluster counting on one grid.
 """
 
 from __future__ import annotations
@@ -381,10 +381,46 @@ def _columns(points: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
 
 
 def _column_extremes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column minima and maxima of an (N, d) array, one reduction per column:
-    an axis-0 reduction over row-major rows is about ten times slower."""
+    """Column minima and maxima of an (N, d) array, else ``ValueError`` for a non-finite
+    point; one reduction per column, as an axis-0 one over row-major rows is 10x slower."""
     cols = [pts[:, j] for j in range(pts.shape[1])]
-    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+    lo, hi = np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("points must be finite")
+    return lo, hi
+
+
+def _grid(lo: np.ndarray, hi: np.ndarray, org: np.ndarray,
+          size: float) -> tuple[np.ndarray, list[int]]:
+    """First cells and cell spans per column of a cloud with column extremes
+    ``lo`` and ``hi`` on the grid of side ``size`` from ``org``; the extremes
+    bound every cell index, and one outside int64 raises ``ValueError``."""
+    first, last = np.floor((lo - org) / size), np.floor((hi - org) / size)
+    if not (np.all(first >= -(2.0**63)) and np.all(last < 2.0**63)):
+        raise ValueError(f"a cell index at scale {size:g} does not fit in int64")
+    return first, [int(b) - int(a) + 1 for a, b in zip(first, last)]
+
+
+def _cell_keys(pts: np.ndarray, org: np.ndarray, size: float, first: np.ndarray,
+               radices: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """``out`` filled with each row's cell, floor((x - org) / size) - first,
+    in mixed radix over ``radices``, ``_BLOCK_ROWS`` rows and then one column
+    at a time; a uint64 ``out`` wraps mod 2^64, an int64 one must hold the product."""
+    x = np.empty(min(len(pts), _BLOCK_ROWS))
+    cell = np.empty(len(x), out.dtype)
+    for start in range(0, len(pts), _BLOCK_ROWS):
+        rows = pts[start : start + _BLOCK_ROWS]
+        keys, xb, c = out[start : start + len(rows)], x[: len(rows)], cell[: len(rows)]
+        keys.fill(0)
+        for j, (low, radix) in enumerate(zip(first, radices)):
+            np.subtract(rows[:, j], org[j], out=xb)
+            xb /= size
+            np.floor(xb, out=xb)
+            c[:] = xb
+            c -= int(low)
+            keys *= radix
+            keys += c
+    return out
 
 
 def _cloud(points: np.ndarray) -> np.ndarray:
@@ -419,8 +455,8 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
 
     Two points link when ``Σ dx² <= gap²``, summed over the columns in
     order: the ``d <= r`` rule of ``scipy.spatial.cKDTree.query_pairs``.
-    Points are binned into cells of side ``gap`` counted from the column
-    minima, so a linked pair lies in one cell or in two adjacent ones.  For
+    Points are binned on the shared grid (side ``gap``, from the column
+    minima), so a linked pair lies in one cell or two adjacent ones.  For
     ``_BLOCK_ROWS`` points at a time, the candidates are the later points of
     a point's own cell and every point of half of its 3^d - 1 neighbouring
     cells (one of each pair of opposite offsets); those that pass the exact
@@ -436,24 +472,16 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
         raise ValueError(f"gap must be finite and positive, got {gap}")
     n, d = pts.shape
     lo, hi = _column_extremes(pts)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("points must be finite")
-    # floor((x - lo) / gap) is monotone in x, so the column maxima bound it.
-    top = np.floor((hi - lo) / gap)
-    if not np.all(top < 2.0**63):
-        raise ValueError("a cell index at the gap does not fit in int64")
+    base, spans = _grid(lo, hi, lo, gap)
     # Cells pack into uint64 keys in mixed radix with a spare digit value per
     # column, so neighbour keys are the cell's key plus a fixed offset and an
     # out-of-range neighbour matches no cell.  Past 2^64 the packing wraps
     # into a hash that is still linear: neighbour keys still match, and a
     # collision only adds candidates that the exact test drops.  Odd radices
     # keep every stride odd, so no stride vanishes mod 2^64.
-    strides = [1]
-    for m in top[:0:-1]:
-        strides.insert(0, strides[0] * ((int(m) + 2) | 1) % 2**64)
-    keys = np.zeros(n, np.uint64)
-    for j, s in enumerate(strides):
-        keys += np.floor((pts[:, j] - lo[j]) / gap).astype(np.uint64) * np.uint64(s)
+    radices = [(span + 1) | 1 for span in spans]
+    strides = [math.prod(radices[j + 1 :]) % 2**64 for j in range(d)]
+    keys = _cell_keys(pts, lo, gap, base, radices, np.empty(n, np.uint64))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     cols = [pts[order, j] for j in range(d)]
@@ -501,11 +529,6 @@ def suggested_section_gap(model: ContactModel, depth: int) -> float:
 
 # -- box counting -------------------------------------------------------------
 
-# Rows per block when box keys are packed: a block's rows and two buffers
-# stay in cache through the passes over each column.
-_KEY_ROWS = 32768
-
-
 def _sorted_scales(scales: Sequence[float]) -> list[float]:
     """``scales`` as floats from coarsest to finest; raises ``ValueError``
     for fewer than two, or for a repeated, non-finite or non-positive one."""
@@ -535,47 +558,21 @@ def box_counting_dimension(
     pts = _cloud(points)
     scales = _sorted_scales(scales)
     lo, hi = _column_extremes(pts)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("points must be finite")
     if len(pts) > 1 and float(np.max(hi - lo)) == 0.0:
         raise DegenerateCloud("all points coincide")
-    org = (
-        np.zeros(pts.shape[1])
-        if origin is None
-        else np.broadcast_to(np.asarray(origin, float).reshape(-1), pts.shape[1:])
-    )
+    org = np.broadcast_to(np.asarray(0.0 if origin is None else origin, float).reshape(-1),
+                          pts.shape[1:])
     if not np.isfinite(org).all():
         raise ValueError("origin must be finite")
-    # floor((x - o) / s) is monotone in x and shrinks in magnitude as s grows,
-    # so the column extremes at the finest scale bound every cell index.
-    if not (np.all(np.floor((lo - org) / scales[-1]) >= -(2.0**63))
-            and np.all(np.floor((hi - org) / scales[-1]) < 2.0**63)):
-        raise ValueError("a cell index at the finest scale does not fit in int64")
-    # Each scale packs the cells, offset by the column minima, into one int64
-    # per point in mixed radix, a block of _KEY_ROWS rows and then one column
-    # at a time; only spans whose product passes int64 take the row view.
+    grids = [_grid(lo, hi, org, s) for s in scales]
+    # Exact int64 cell keys; only spans whose product passes int64 take the row view.
     packed = np.empty(len(pts), np.int64)
-    col, cell = np.empty(_KEY_ROWS), np.empty(_KEY_ROWS, np.int64)
     counts = []
-    for s in scales:
-        first = np.floor((lo - org) / s)
-        spans = [int(b) - int(a) + 1 for a, b in zip(first, np.floor((hi - org) / s))]
+    for s, (first, spans) in zip(scales, grids):
         if math.prod(spans) > np.iinfo(np.int64).max:
             keys = np.sort(_row_keys(np.floor((pts - org) / s).astype(np.int64)))
         else:
-            for start in range(0, len(pts), _KEY_ROWS):
-                rows = pts[start : start + _KEY_ROWS]
-                keys, x, c = packed[start : start + len(rows)], col[: len(rows)], cell[: len(rows)]
-                keys.fill(0)
-                for j, (low, span) in enumerate(zip(first, spans)):
-                    np.subtract(rows[:, j], org[j], out=x)
-                    x /= s
-                    np.floor(x, out=x)
-                    c[:] = x
-                    c -= int(low)
-                    keys *= span
-                    keys += c
-            keys = packed
+            keys = _cell_keys(pts, org, s, first, spans, packed)
             keys.sort()
         counts.append(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
     xs = np.log(1.0 / np.asarray(scales))
@@ -626,51 +623,39 @@ def skeleton_analysis(
         raise ValueError("theta0 must be finite")
     if scales:
         scales = _sorted_scales(scales)
-    chart, section = model.chart, model.section
+    chart, section, idx = model.chart, model.section, model.chart.interval_idx
     if section is None and theta0 is not None:
         raise ModelError("a section angle needs a model that declares a section; "
                          "this model is measured through its full cloud")
-    if section is not None:
+    if section is None:
+        sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
+        pts, org, default, lift = sample.points, chart.lows(), _DEFAULT_CLOUD_SCALES, 1.0
+    else:
         branches = max(1, section.multiplier**depth)
         if seeds < branches:
             raise ValueError("the section route needs seeds >= multiplier**depth")
         per_branch = max(8, seeds // branches)
-        angle = 0.0 if theta0 is None else theta0
-        sample = section_cloud(model, depth, per_branch, angle, rng_seed)
-        pts2 = _columns(sample.points, chart.interval_idx)
-        use_scales = tuple(scales) if scales else _default_section_scales(section.rates[0], depth)
-        lows = np.array([chart.coords[i].lo for i in chart.interval_idx])
-        box = box_counting_dimension(pts2, use_scales, origin=lows)
-        clusters = None
-        if section.multiplier > 1:
-            # A branch is the seed box shrunk by rate**depth per coordinate;
-            # it links up at the gap only with about 3 points per gap-sized
-            # cell of that box.  With fewer, the count is left unclaimed.
-            gap = suggested_section_gap(model, depth)
-            need = math.ceil(3 * math.prod(
-                max(1.0, (chart.coords[i].hi - chart.coords[i].lo) * r**depth / gap)
-                for i, r in zip(chart.interval_idx, section.rates)
-            ))
-            if per_branch >= need:
-                clusters = count_clusters(pts2[:: max(1, per_branch // need)], gap)
-        return SkeletonAnalysis(
-            estimate=2.0 + box.slope,
-            route="section",
-            box=box,
-            section_clusters=clusters,
-            depth=depth,
-            seeds=seeds,
-            sample=sample,
-        )
-
-    sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
-    use_scales = tuple(scales) if scales else _DEFAULT_CLOUD_SCALES
-    box = box_counting_dimension(sample.points, use_scales, origin=chart.lows())
+        sample = section_cloud(model, depth, per_branch, theta0 or 0.0, rng_seed)
+        pts, org = _columns(sample.points, idx), chart.lows()[list(idx)]
+        default, lift = _default_section_scales(section.rates[0], depth), 2.0
+    box = box_counting_dimension(pts, tuple(scales) if scales else default, origin=org)
+    clusters = None
+    if section is not None and section.multiplier > 1:
+        # A branch is the seed box shrunk by rate**depth per coordinate;
+        # it links up at the gap only with about 3 points per gap-sized
+        # cell of that box.  With fewer, the count is left unclaimed.
+        gap = suggested_section_gap(model, depth)
+        need = math.ceil(3 * math.prod(
+            max(1.0, (chart.coords[i].hi - chart.coords[i].lo) * r**depth / gap)
+            for i, r in zip(idx, section.rates)
+        ))
+        if per_branch >= need:
+            clusters = count_clusters(pts[:: max(1, per_branch // need)], gap)
     return SkeletonAnalysis(
-        estimate=1.0 + box.slope,
-        route="cloud",
+        estimate=lift + box.slope,
+        route="cloud" if section is None else "section",
         box=box,
-        section_clusters=None,
+        section_clusters=clusters,
         depth=depth,
         seeds=seeds,
         sample=sample,

@@ -101,6 +101,20 @@ class TestCertify:
         cert = rep["results"]["contraction_certificate"]
         assert not (cert["d1"]["pass"] and cert["d3"]["pass"])
 
+    def test_c_equal_delta_report_is_strict_json(self, tmp_path):
+        # The map divides by zero on the chart edge y = 1: a fail whose
+        # margin has no finite value and is written as null, not -Infinity.
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "r.json"
+        assert run(["certify", "--model", "transverse-knot", "--delta", "0.1",
+                    "--samples", "500", "--out", str(out)]) == 1
+        cert = json.loads(out.read_text(), parse_constant=refuse)["results"][
+            "contraction_certificate"]
+        assert cert["d1"]["min_margin"] is None and not cert["d1"]["pass"]
+        assert any("non-finite" in note for note in cert["notes"])
+
     def test_anosov(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["certify", "--model", "anosov", "--n", "2", "--eps", "0.4",

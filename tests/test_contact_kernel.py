@@ -171,7 +171,8 @@ class TestConformalFactor:
         zero = OneForm(lambda p: np.zeros_like(p))
         cert = certify_contraction(replace(solenoid, alpha=zero), samples=1000)
         assert not cert.d3["pass"]
-        assert math.isnan(cert.d3["factor_min"])
+        assert cert.d3["factor_min"] is None
+        assert "no sample has a finite conformal factor" in cert.notes
 
 
 class TestContactCheck:

@@ -16,6 +16,7 @@ from liouville_forge.exactlin import (
     alternation_isolate,
     char_poly,
     companion_matrix,
+    companion_poly,
     determinant,
     refine_root,
     sign_at,
@@ -89,6 +90,12 @@ class TestCompanionMatrix:
         assert coeffs[0] == (-1) ** n
         for i in range(1, n):
             assert coeffs[n - i] == (-1) ** i * k[n - i - 1]
+
+    @given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=11))
+    @settings(max_examples=100, deadline=None)
+    def test_companion_poly_is_char_poly(self, k):
+        # The closed form against the trace recursion at n = 2..12.
+        assert companion_poly(k) == char_poly(companion_matrix(k))
 
 
 class TestCharPoly:

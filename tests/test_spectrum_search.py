@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville_forge import spectrum_search
+from liouville_forge import exactlin, spectrum_search
 from liouville_forge.exactlin import (
     IntMatrix,
     alternation_isolate,
@@ -495,6 +495,24 @@ class TestFindMatrix:
         req = SpectrumRequest(n=8, mu=(1.3666, 0.7705, -0.1174, -0.4013, -1.5638, 0.4122),
                               eps=0.5, seed=221086)
         _assert_certificate_valid(find_matrix(req), req)
+
+    def test_search_runs_no_trace_recursion(self, monkeypatch):
+        # The search certifies the polynomial it rounded: accepted, rejected
+        # and exhausted candidates never need the O(n^3) recursion.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("find_matrix must not run the trace recursion")
+
+        found = [SpectrumRequest(n=3, mu=(2.0,), eps=0.5, seed=7),
+                 SpectrumRequest(n=8, mu=(1.3666, 0.7705, -0.1174, -0.4013, -1.5638, 0.4122),
+                                 eps=0.5, seed=221086)]
+        with monkeypatch.context() as m:
+            m.setattr(exactlin, "trace_recursion", forbidden)
+            certs = [find_matrix(req) for req in found]
+            with pytest.raises(SearchExhausted):
+                find_matrix(SpectrumRequest(n=9, mu=(0.5,) * 7, eps=0.5, seed=3, k1_max=2000))
+        for cert, req in zip(certs, found):
+            assert sum(cert.search.rejections.values()) == cert.search.exact_checks - 1
+            _assert_certificate_valid(cert, req)
 
     def test_validation(self):
         with pytest.raises(ValueError):

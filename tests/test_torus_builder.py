@@ -763,6 +763,23 @@ class TestPackedKeys:
         scales = (1.0, 4.0)
         assert box_counting_dimension(pts, scales).counts == _oracle_counts(pts, scales)
 
+    @pytest.mark.parametrize("spans, row_view", [
+        ((454_279, 20_303_320_287_433), False),  # 7^2 73 127 * 337 92737 649657 = 2^63 - 1
+        ((2**31, 2**32), True),
+    ])
+    def test_span_product_at_the_int64_edge(self, spans, row_view, monkeypatch):
+        # Spans whose product is 2^63 - 1 pack into int64 keys up to 2^63 - 2;
+        # a product of 2^63 takes the row view at the finer scale only.
+        assert math.prod(spans) == 2**63 - (not row_view)
+        inner = np.random.default_rng(3).integers(0, spans, size=(500, 2))
+        cells = np.vstack([[0, 0], np.subtract(spans, 1), inner, inner[::7]])
+        pts = (cells - np.array(spans) // 2).astype(float)
+        calls = []
+        monkeypatch.setattr(torus_builder, "_row_keys", lambda c: calls.append(1) or _row_keys(c))
+        scales = (1.0, 2.0)
+        assert box_counting_dimension(pts, scales).counts == _oracle_counts(pts, scales)
+        assert len(calls) == row_view
+
 
 class TestSectionClusters:
     @pytest.mark.parametrize("depth", [3, 40])
