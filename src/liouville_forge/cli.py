@@ -4,14 +4,17 @@ Four subcommands (find-matrix, certify, skeleton, descent) that run the
 library and emit deterministic JSON reports: sorted keys, floats in Python's
 shortest round-trip repr, and enough echoed inputs to re-run the command.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 search
-exhausted.  ``skeleton --section`` reports the analysis's own section cloud,
-all on the fiber; a cloud-route model refuses it before iterating.
+exhausted, 4 a report that strict JSON cannot hold (a non-finite number, which
+is a bug; nothing is written).  ``skeleton --section`` reports the size of
+the section cloud and builds that cloud, all on the fiber, only for
+``--csv-out``; a cloud-route model refuses it before iterating.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,6 +39,7 @@ from .torus_builder import (
     descent_check,
     export_cloud_csv,
     iterate_attractor,
+    section_cloud,
     skeleton_analysis,
 )
 
@@ -47,6 +51,23 @@ SCHEMA_VERSION = 2
 _USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, MemoryError, OSError)
 _K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
                "rounds once at each value")
+
+
+class ReportError(Exception):
+    """A report holds a number that strict JSON cannot: a bug, not a usage error."""
+
+
+def _non_finite(value, path: str = "") -> str | None:
+    """The path of the first non-finite float in nested dicts and lists, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite(item, f"{path}.{key}" if path else str(key))
+        if found:
+            return found
+    return None
 
 
 def _write_report(args: argparse.Namespace, command: str, status: str, results: dict) -> None:
@@ -62,7 +83,11 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
         "status": status,
         "results": results,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ReportError(f"report not written: {_non_finite(report)} is not a finite "
+                          "number, which strict JSON cannot hold (a bug)") from None
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -138,21 +163,25 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
         theta0=args.section,
     )
     results = {"skeleton": analysis.to_dict(), **extra}
+    chart = model.chart
     if args.section is not None:
         # The section cloud is seeded on the fiber: every point is in the section.
-        chart = model.chart
-        csv_points = analysis.sample.points[:, chart.interval_idx]
-        section_info: dict = {"theta0": args.section, "points": len(csv_points)}
+        branches = model.section.multiplier**args.depth
+        per_branch = max(8, args.seeds // branches)
+        section_info: dict = {"theta0": args.section, "points": branches * per_branch}
         if analysis.section_clusters is not None:
             section_info["clusters"] = analysis.section_clusters
         results["section"] = section_info
-        csv_names = [chart.names[i] for i in chart.interval_idx]
+        if args.csv_out:
+            sample = section_cloud(model, args.depth, per_branch, args.section, args.seed)
+            csv_points = sample.points[:, chart.interval_idx]
+            csv_names = [chart.names[i] for i in chart.interval_idx]
     elif args.csv_out:
         sample = analysis.sample
         if analysis.route != "cloud":
             sample = iterate_attractor(model, args.depth, args.seeds, rng_seed=args.seed)
         csv_points = sample.points
-        csv_names = list(model.chart.names)
+        csv_names = list(chart.names)
 
     if args.csv_out:
         rows = export_cloud_csv(csv_points, csv_names, args.csv_out)
@@ -288,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReportError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ __all__ = [
     "ContactModel",
     "Section",
     "Affine",
+    "EVIDENCE",
     "ContractionCertificate",
     "UnknownModel",
     "EigenFailure",
@@ -63,6 +64,13 @@ FD_STEP = 1e-5
 CONTAINS_TOL = 1e-12
 # Distance every image point must keep from the codomain's interval boundaries.
 INTERIOR_MARGIN = 1e-3
+# What a verdict rests on: the value of a report's "evidence" key.
+EVIDENCE = {
+    "sampled": "checked at sampled points only",
+    "vertices": "decided at the vertices of an affine image box",
+    "exact": "read off the closed form of the map's image, up to float rounding",
+    "cover": "decided on an interval cover of the whole chart",
+}
 
 
 class UnknownModel(Exception):
@@ -324,7 +332,13 @@ def fd_jacobian(fn: Callable, pts: np.ndarray, h: float) -> np.ndarray:
 
 
 class Section(NamedTuple):
-    """Angle multiplier and interval rates, in chart order, of a map measured on a fiber."""
+    """Angle multiplier and interval rates, in chart order, of a map measured on a fiber.
+
+    The map must send the angle theta to multiplier * theta and the interval
+    coordinates x to diag(rates) x + t(theta), so that it sends the boxes of
+    a fiber to boxes.  ``torus_builder`` checks the interval part on the
+    chart's probe points and raises ``ModelError`` where it fails.
+    """
     multiplier: int
     rates: tuple[float, ...]
 
@@ -663,26 +677,10 @@ def _solenoid_model() -> ContactModel:
     )
 
     def forward(p):
-        """(2 theta, x/10 + cos(theta)/2, y/20 + sin(theta)/4), bit for bit,
-        with cos and sin taken once per run of bit-identical angles: every
-        seed of a section branch carries one angle at every step.  Runs
-        split on int64 bits, so -0.0 and +0.0 differ, and at every NaN."""
         th = p[:, 0]
-        n = len(th)
-        bits = th.view(np.int64)
-        new = np.empty(n, bool)
-        new[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        new[1:] |= np.isnan(th[1:])
-        out = np.empty((n, 3))
-        np.multiply(2.0, th, out=out[:, 0])
-        np.divide(p[:, 1], 10.0, out=out[:, 1])
-        np.divide(p[:, 2], 20.0, out=out[:, 2])
-        heads = np.flatnonzero(new)
-        counts = np.diff(heads, append=n)
-        out[:, 1] += np.repeat(np.cos(th[heads]) / 2.0, counts)
-        out[:, 2] += np.repeat(np.sin(th[heads]) / 4.0, counts)
-        return out
+        return np.column_stack(
+            [2.0 * th, p[:, 1] / 10.0 + np.cos(th) / 2.0, p[:, 2] / 20.0 + np.sin(th) / 4.0]
+        )
 
     def jacobian(p):
         th = p[:, 0]

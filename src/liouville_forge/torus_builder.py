@@ -2,8 +2,11 @@
 
 Builds the suspension-with-varying-roof model over a certified contraction,
 checks that the rescaled contact form survives the gluing, verifies boundary
-transversality after the collar tilt, iterates the map to approximate the
-skeleton attractor, and measures it by box and cluster counting on one grid.
+transversality after the collar tilt, and measures the skeleton attractor
+by box and cluster counting on one grid.  A model with a section is measured
+exactly, on the multiplier^depth boxes that make up the depth-d image's
+fiber; any other model through a cloud of iterated seeds.  ``section_cloud``
+still samples the fiber, for export.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .contact_kernel import (
     Chart,
     ContactModel,
     ModelError,
+    Section,
     _BLOCK_ROWS,
     _in_row_blocks,
     halton,
@@ -143,12 +147,14 @@ class SkeletonAnalysis:
     section_clusters: int | None
     depth: int
     seeds: int
-    sample: SkeletonSample  # the cloud that was box-counted; not reported
+    evidence: str  # a key of contact_kernel.EVIDENCE
+    sample: SkeletonSample | None = None  # the cloud route's cloud; not reported
 
     def to_dict(self) -> dict:
         return {
             "estimate": self.estimate,
             "route": self.route,
+            "evidence": self.evidence,
             "box_counting": self.box.to_dict(),
             "section_clusters": self.section_clusters,
             "depth": self.depth,
@@ -316,6 +322,21 @@ def iterate_attractor(
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 
+def _fiber(model: ContactModel, depth: int) -> tuple[Section, int, float]:
+    """The model's section, the position of its one circle factor and that
+    factor's period, else ``ModelError``."""
+    _require_self_map(model, depth)
+    chart, section = model.chart, model.section
+    if len(chart.periodic_idx) != 1:
+        raise ModelError("section seeding needs exactly one circle factor")
+    if section is None or not (isinstance(section.multiplier, int) and section.multiplier >= 1):
+        raise ModelError("model does not declare a section with an integer multiplier >= 1")
+    if len(section.rates) != len(chart.interval_idx):
+        raise ModelError("a section needs one rate per interval coordinate")
+    pi_idx = chart.periodic_idx[0]
+    return section, pi_idx, chart.coords[pi_idx].period
+
+
 def section_cloud(
     model: ContactModel,
     depth: int,
@@ -330,16 +351,8 @@ def section_cloud(
     the full cross-section of the depth-m image at every finite angle, free
     of slab-thickness smearing: every point lies on the fiber.
     """
-    _require_self_map(model, depth)
-    chart, section = model.chart, model.section
-    if len(chart.periodic_idx) != 1:
-        raise ModelError("section seeding needs exactly one circle factor")
-    if section is None or not (isinstance(section.multiplier, int) and section.multiplier >= 1):
-        raise ModelError("model does not declare a section with an integer multiplier >= 1")
-    if len(section.rates) != len(chart.interval_idx):
-        raise ModelError("a section needs one rate per interval coordinate")
-    pi_idx = chart.periodic_idx[0]
-    period = chart.coords[pi_idx].period
+    section, pi_idx, period = _fiber(model, depth)
+    chart = model.chart
     branches = section.multiplier**depth
     angles = (theta0 % period + period * np.arange(branches)) / branches
 
@@ -352,6 +365,31 @@ def section_cloud(
     pts = np.tile(block, (branches, 1))
     pts[:, pi_idx] = np.repeat(angles, seeds_per_branch)
     return SkeletonSample(points=_iterate(model, pts, depth), depth=depth, chart=chart)
+
+
+def _section_boxes(model: ContactModel, depth: int,
+                   theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (a row per branch) and half-widths of the interval boxes that
+    make up the depth-d image's fiber at ``theta0``: the chart's box pushed d
+    times through the map, branch k's angle at step j taken from the integer
+    k·m^j mod m^d.  ``ModelError`` unless the map is affine as ``Section``
+    states, to 1e-9 of the chart's half-widths on its probe points."""
+    section, pi_idx, period = _fiber(model, depth)
+    chart, iv = model.chart, list(model.chart.interval_idx)
+    mid, half = (chart.lows() + chart.highs()) / 2, (chart.highs() - chart.lows())[iv] / 2
+    probe = chart.probe_points()
+    at_mid = np.where(np.isin(np.arange(chart.dim), iv), mid, probe)
+    with np.errstate(all="ignore"):
+        shift = model.phi(probe)[:, iv] - model.phi(at_mid)[:, iv]
+    if not np.all(np.abs(shift - (probe - at_mid)[:, iv] * section.rates) <= 1e-9 * half):
+        raise ModelError("the section's map is not diag(rates)·x + t(theta) on the probe points")
+    m, branches = section.multiplier, section.multiplier**depth
+    index, pts = np.arange(branches), np.tile(mid, (branches, 1))
+    for j in range(depth):
+        pts[:, pi_idx] = (theta0 % period * m**j + period * index) / branches
+        pts = model.phi(pts)
+        index = index * m % branches
+    return pts[:, iv], half * np.abs(np.array(section.rates)) ** depth
 
 
 def cross_section(
@@ -369,15 +407,6 @@ def cross_section(
     if not mask.any():
         raise EmptySection(f"no points within {thickness} of the fiber angle")
     return sample.points[mask][:, chart.interval_idx]
-
-
-def _columns(points: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    """``points[:, idx]``, as a view without a copy when ``idx`` is an
-    increasing arithmetic progression."""
-    step = idx[1] - idx[0] if len(idx) > 1 else 1
-    if idx and step > 0 and tuple(range(idx[0], idx[-1] + 1, step)) == tuple(idx):
-        return points[:, idx[0] : idx[-1] + 1 : step]
-    return points[:, idx]
 
 
 def _column_extremes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,11 +497,19 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
     non-finite point, or a cell index outside int64.
     """
     pts = _cloud(points)
+    return _components(pts, np.zeros(pts.shape[1]), gap)
+
+
+def _components(pts: np.ndarray, half: np.ndarray, gap: float) -> int:
+    """``count_clusters`` of the boxes of half-widths ``half`` around the
+    rows of ``pts``: two link when ``Σ max(0, |dc| - 2h)² <= gap²``, and the
+    grid's side is gap + 2 max h."""
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be finite and positive, got {gap}")
     n, d = pts.shape
+    size = gap + 2.0 * float(np.max(half, initial=0.0))
     lo, hi = _column_extremes(pts)
-    base, spans = _grid(lo, hi, lo, gap)
+    base, spans = _grid(lo, hi, lo, size)
     # Cells pack into uint64 keys in mixed radix with a spare digit value per
     # column, so neighbour keys are the cell's key plus a fixed offset and an
     # out-of-range neighbour matches no cell.  Past 2^64 the packing wraps
@@ -481,7 +518,7 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
     # keep every stride odd, so no stride vanishes mod 2^64.
     radices = [(span + 1) | 1 for span in spans]
     strides = [math.prod(radices[j + 1 :]) % 2**64 for j in range(d)]
-    keys = _cell_keys(pts, lo, gap, base, radices, np.empty(n, np.uint64))
+    keys = _cell_keys(pts, lo, size, base, radices, np.empty(n, np.uint64))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     cols = [pts[order, j] for j in range(d)]
@@ -511,8 +548,9 @@ def count_clusters(points: np.ndarray, gap: float) -> int:
         i = np.repeat(np.tile(src, len(shifts) + 1), take)
         k = np.repeat(first - (np.cumsum(take) - take), take) + np.arange(len(i))
         d2 = np.zeros(len(i))
-        for c in cols:
-            dx = c[i] - c[k]
+        for c, h in zip(cols, half):
+            dx = np.abs(c[i] - c[k]) - 2.0 * h
+            np.maximum(dx, 0.0, out=dx)
             d2 += dx * dx
         near = d2 <= limit
         _link(parent, i[near], k[near])
@@ -575,6 +613,11 @@ def box_counting_dimension(
             keys = _cell_keys(pts, org, s, first, spans, packed)
             keys.sort()
         counts.append(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
+    return _fit(scales, counts)
+
+
+def _fit(scales: list[float], counts: list[int]) -> BoxCountResult:
+    """The least-squares line through log count against log(1 / scale)."""
     xs = np.log(1.0 / np.asarray(scales))
     ys = np.log(np.asarray(counts, float))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -585,6 +628,33 @@ def box_counting_dimension(
     return BoxCountResult(
         scales=tuple(scales), counts=tuple(counts), slope=float(slope), r2=float(r2)
     )
+
+
+# A box meets a cell it covers by more than _EDGE of its side in every coordinate
+# (a narrower box meets one cell): an edge rounded onto or a hair past a grid
+# line counts no further cell.  A scale lists at most _BOX_CELLS box-cell
+# pairs, or 2^k per box for k interval coordinates.
+_EDGE, _BOX_CELLS = 1e-9, 1 << 22
+
+
+def _box_counts(centres: np.ndarray, half: np.ndarray, scales: list[float],
+                org: np.ndarray) -> list[int]:
+    """Distinct cells of each scale's grid from ``org`` that the open boxes
+    meet; ``ValueError`` for a cell index outside int64 or too many cells."""
+    lo, hi = _column_extremes(centres)
+    counts = []
+    for s in scales:
+        _grid(lo - half, hi + half, org, s)
+        first = np.floor((centres - half - org) / s + _EDGE)
+        spans = np.maximum(np.ceil((centres + half - org) / s - _EDGE) - first, 1).astype(int)
+        widest = tuple(int(w) for w in spans.max(axis=0))
+        if len(centres) * math.prod(widest) > max(_BOX_CELLS, len(centres) << len(half)):
+            raise ValueError(f"at scale {s:g} a box meets up to {math.prod(widest)} cells")
+        offsets = np.indices(widest).reshape(len(half), -1).T
+        cells = first.astype(np.int64)[:, None] + offsets
+        keys = np.sort(_row_keys(cells[np.all(offsets < spans[:, None], axis=2)]))
+        counts.append(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
+    return counts
 
 
 def _default_section_scales(rate: float, depth: int) -> tuple[float, ...]:
@@ -610,10 +680,11 @@ def skeleton_analysis(
     The suspension direction contributes exactly 1.  Models that declare a
     ``section`` are measured through the fiber cross-section at angle
     ``theta0`` (0 when it is ``None``; the circle direction contributes
-    another 1), which needs at least one seed per branch,
-    ``seeds >= multiplier**depth``, and clusters are counted when the
-    multiplier is above 1.  Otherwise the full attractor cloud is counted,
-    and a section angle, which that route cannot honour, raises
+    another 1) on its multiplier^depth boxes, with no sampling: ``rng_seed``
+    is unused, and ``seeds >= multiplier**depth`` bounds the box count.
+    Clusters are counted when the multiplier is above 1 and the gap is above
+    the rounding of the box centres.  Otherwise the full attractor cloud is
+    counted, and a section angle, which that route cannot honour, raises
     ``ModelError`` before any point is iterated.  Given ``scales`` are
     checked before any point is seeded.
     """
@@ -623,43 +694,30 @@ def skeleton_analysis(
         raise ValueError("theta0 must be finite")
     if scales:
         scales = _sorted_scales(scales)
-    chart, section, idx = model.chart, model.section, model.chart.interval_idx
+    chart, section = model.chart, model.section
     if section is None and theta0 is not None:
         raise ModelError("a section angle needs a model that declares a section; "
                          "this model is measured through its full cloud")
     if section is None:
         sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
-        pts, org, default, lift = sample.points, chart.lows(), _DEFAULT_CLOUD_SCALES, 1.0
-    else:
-        branches = max(1, section.multiplier**depth)
-        if seeds < branches:
-            raise ValueError("the section route needs seeds >= multiplier**depth")
-        per_branch = max(8, seeds // branches)
-        sample = section_cloud(model, depth, per_branch, theta0 or 0.0, rng_seed)
-        pts, org = _columns(sample.points, idx), chart.lows()[list(idx)]
-        default, lift = _default_section_scales(section.rates[0], depth), 2.0
-    box = box_counting_dimension(pts, tuple(scales) if scales else default, origin=org)
-    clusters = None
-    if section is not None and section.multiplier > 1:
-        # A branch is the seed box shrunk by rate**depth per coordinate;
-        # it links up at the gap only with about 3 points per gap-sized
-        # cell of that box.  With fewer, the count is left unclaimed.
-        gap = suggested_section_gap(model, depth)
-        need = math.ceil(3 * math.prod(
-            max(1.0, (chart.coords[i].hi - chart.coords[i].lo) * r**depth / gap)
-            for i, r in zip(idx, section.rates)
-        ))
-        if per_branch >= need:
-            clusters = count_clusters(pts[:: max(1, per_branch // need)], gap)
-    return SkeletonAnalysis(
-        estimate=lift + box.slope,
-        route="cloud" if section is None else "section",
-        box=box,
-        section_clusters=clusters,
-        depth=depth,
-        seeds=seeds,
-        sample=sample,
-    )
+        box = box_counting_dimension(sample.points, scales or _DEFAULT_CLOUD_SCALES,
+                                     origin=chart.lows())
+        return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds,
+                                "sampled", sample)
+    if seeds < max(1, section.multiplier**depth):
+        raise ValueError("the section route needs seeds >= multiplier**depth")
+    if seeds * chart.dim * 8 > 2**47:  # their cloud passes a 48-bit address space
+        raise MemoryError(f"{seeds} seeds make a section cloud too large to allocate")
+    centres, half = _section_boxes(model, depth, theta0 or 0.0)
+    if not np.all(half > 0):
+        raise DegenerateCloud(f"the depth-{depth} boxes have zero width: all points coincide")
+    scales = scales or _sorted_scales(_default_section_scales(section.rates[0], depth))
+    box = _fit(scales, _box_counts(centres, half, scales, chart.lows()[list(chart.interval_idx)]))
+    gap = suggested_section_gap(model, depth)
+    # Centres are good to 8 ulps per step of their largest coordinate (or of 1).
+    exact = gap > 8 * depth * np.finfo(float).eps * max(1.0, float(np.max(np.abs(centres))))
+    clusters = _components(centres, half, gap) if section.multiplier > 1 and exact else None
+    return SkeletonAnalysis(2.0 + box.slope, "section", box, clusters, depth, seeds, "exact")
 
 
 def export_cloud_csv(

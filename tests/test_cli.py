@@ -4,12 +4,13 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import liouville_forge
-from liouville_forge import torus_builder
+from liouville_forge import cli, torus_builder
 from liouville_forge.cli import main
 
 
@@ -230,9 +231,9 @@ class TestSkeleton:
         out = tmp_path / "r.json"
         assert run(["skeleton", "--model", "solenoid", "--depth", "8", "--seeds", "16384",
                     "--section", "0.0", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert '"section_clusters": null' in text
-        assert "clusters" not in json.loads(text)["results"]["section"]
+        results = json.loads(out.read_text())["results"]
+        assert results["skeleton"]["section_clusters"] == 256
+        assert results["section"]["clusters"] == 256
 
 
 class TestSkeletonThreads:
@@ -493,3 +494,27 @@ class TestReportShape:
         run(["certify", "--model", "solenoid", "--samples", "100", "--tol", "1e-8",
              "--out", str(out)])
         assert '"tol": 1e-08' in out.read_text()
+
+    def test_non_finite_value_ends_with_exit_4_and_no_report(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # A NaN that reaches the writer is a bug: strict JSON refuses it, and
+        # the command says where it is rather than reporting a usage error.
+        real = cli.skeleton_analysis
+        monkeypatch.setattr(cli, "skeleton_analysis",
+                            lambda *a, **k: replace(real(*a, **k), estimate=math.nan))
+        out = tmp_path / "r.json"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+                    "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: report not written: results.skeleton.estimate ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, evidence", [
+        (["--model", "solenoid", "--depth", "3", "--seeds", "4000"], "exact"),
+        (["--model", "jet-space", "--depth", "3", "--seeds", "4000"], "exact"),
+        (["--model", "anosov", "--n", "2", "--depth", "2", "--seeds", "1000"], "sampled"),
+    ], ids=["solenoid", "jet-space", "anosov"])
+    def test_skeleton_evidence(self, argv, evidence, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["skeleton", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["skeleton"]["evidence"] == evidence

@@ -14,6 +14,7 @@ from scipy.stats import qmc
 from liouville_forge import contact_kernel, torus_builder
 from liouville_forge.contact_kernel import (
     _BLOCK_ROWS,
+    EVIDENCE,
     Chart,
     ContactModel,
     Coord,
@@ -597,7 +598,8 @@ class TestSolenoidRunsMatchColumnFormula:
         got = skeleton_analysis(solenoid, 8, 256 * 100)
         want = skeleton_analysis(oracle, 8, 256 * 100)
         assert got.to_dict() == want.to_dict()
-        assert np.array_equal(_bits(got.sample.points), _bits(want.sample.points))
+        got, want = section_cloud(solenoid, 8, 100), section_cloud(oracle, 8, 100)
+        assert np.array_equal(_bits(got.points), _bits(want.points))
 
 
 def test_cloud_keeps_one_image_row_per_seed():
@@ -682,7 +684,11 @@ def test_chart_layout(make, periodic, interval):
     model = make()
     assert model.chart.periodic_idx == periodic
     assert model.chart.interval_idx == interval
-    assert skeleton_analysis(model, 1, 2000, rng_seed=0).sample.chart is model.chart
+    if model.section is None:
+        sample = skeleton_analysis(model, 1, 2000, rng_seed=0).sample
+    else:
+        sample = section_cloud(model, 1, 2000, rng_seed=0)
+    assert sample.chart is model.chart
 
 
 class TestCsvExport:
@@ -788,17 +794,127 @@ class TestSectionClusters:
             skeleton_analysis(solenoid, depth, 2**depth - 1)
 
     def test_one_seed_per_branch_suffices(self, solenoid):
-        assert skeleton_analysis(solenoid, 3, 8).sample.points.shape == (64, 3)
+        assert skeleton_analysis(solenoid, 3, 8).route == "section"
+        assert section_cloud(solenoid, 3, 8).points.shape == (64, 3)
 
     def test_thin_branches_unclaimed(self, solenoid):
-        # 64 seeds per branch cannot link a depth-8 branch at the gap.
-        assert skeleton_analysis(solenoid, 8, 16_384).section_clusters is None
+        # Boxes need no seed density: one seed per branch still links them.
+        assert skeleton_analysis(solenoid, 8, 16_384).section_clusters == 256
 
     @pytest.mark.parametrize("per_branch", [64, 256])
     @pytest.mark.parametrize("depth", [0, 4, 8, 9])
     def test_count_is_right_or_unclaimed(self, solenoid, depth, per_branch):
         clusters = skeleton_analysis(solenoid, depth, per_branch * 2**depth).section_clusters
         assert clusters in (None, 2**depth)
+
+
+def _sampled_reference(model, depth, seeds):
+    """Box counts over the section cloud, the way the section route sampled
+    them, and clusters of every eighth point of it."""
+    per_branch = max(8, seeds // 2**depth)
+    scales = torus_builder._default_section_scales(model.section.rates[0], depth)
+    pts = section_cloud(model, depth, per_branch).points[:, [1, 2]]
+    box = box_counting_dimension(pts, scales, origin=model.chart.lows()[[1, 2]])
+    return box.counts, count_clusters(pts[::8], suggested_section_gap(model, depth))
+
+
+def _closed_box_count(centres, half, scale, org):
+    """Cells met by the closed boxes, edges as float rounding puts them."""
+    first = np.floor((centres - half - org) / scale).astype(int)
+    last = np.floor((centres + half - org) / scale).astype(int)
+    cells = set()
+    for f, l in zip(first, last):
+        cells.update(tuple(f + np.array(c)) for c in np.ndindex(*(l - f + 1)))
+    return len(cells)
+
+
+class TestSectionBoxes:
+    @pytest.mark.parametrize("depth, seeds", [(2, 20_000), (4, 20_000), (6, 20_000),
+                                              (8, 1_000_000)])
+    def test_counts_and_clusters_match_the_sampled_section(self, solenoid, depth, seeds):
+        analysis = skeleton_analysis(solenoid, depth, seeds)
+        assert (analysis.box.counts, analysis.section_clusters) == _sampled_reference(
+            solenoid, depth, seeds)
+        assert analysis.section_clusters == 2**depth
+
+    def test_open_boxes_at_depth_2(self, solenoid):
+        centres, half = torus_builder._section_boxes(solenoid, 2, 0.0)
+        org = solenoid.chart.lows()[[1, 2]]
+        # Every box edge lies on a grid line of side 0.005, up to rounding.
+        assert torus_builder._box_counts(centres, half, [0.005], org) == [24]
+        assert _closed_box_count(centres, half, 0.005, org) == 40
+
+    def test_edge_share_decides_a_cell(self):
+        org, half = np.zeros(2), np.array([0.25, 0.25])
+        for past, cells in [(0.5e-9, 1), (2e-9, 2), (-0.5e-9, 1)]:
+            centres = np.array([[0.75 + past, 0.5]])  # upper x edge at 1 + past
+            assert torus_builder._box_counts(centres, half, [1.0], org) == [cells]
+        # A box narrower than the edge share still meets one cell.
+        assert torus_builder._box_counts(np.array([[0.5, 0.5]]), np.array([1e-12, 1e-12]),
+                                         [1.0, 0.5], org) == [1, 1]
+
+    def test_jet_space_edge_on_a_grid_line(self):
+        analysis = skeleton_analysis(builtin_model("jet_space"), 6, 1000)
+        assert analysis.box.scales[-1] == 1 / 64  # the box edge 1/64 is a grid line
+        assert set(analysis.box.counts) == {4}
+
+    def test_interval_part_must_be_affine(self, solenoid):
+        with pytest.raises(ModelError, match="diag"):
+            skeleton_analysis(replace(solenoid, section=Section(2, (0.1, 0.06))), 2, 1000)
+
+    def test_independent_of_the_rng_seed(self, solenoid):
+        reports = {str(skeleton_analysis(solenoid, 6, 20_000, rng_seed=r).to_dict())
+                   for r in range(4)}
+        assert len(reports) == 1
+
+    def test_no_cloud_iterated_and_no_point_clustered(self, solenoid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sampled path ran")
+
+        monkeypatch.setattr(torus_builder, "_iterate", refuse)
+        monkeypatch.setattr(torus_builder, "count_clusters", refuse)
+        analysis = skeleton_analysis(solenoid, 8, 1_000_000)
+        assert round(analysis.estimate, 4) == 2.2381
+        assert analysis.section_clusters == 256
+        assert analysis.sample is None
+
+    def test_clusters_where_seeds_are_thin(self, solenoid):
+        assert skeleton_analysis(solenoid, 10, 1_000_000).section_clusters == 1024
+
+    @pytest.mark.parametrize("depth, clusters", [(11, 2048), (12, None), (16, None)])
+    def test_clusters_unclaimed_below_the_rounding_bound(self, solenoid, depth, clusters):
+        # From depth 12 the gap, 0.25 * 0.05**(depth - 1), is below the
+        # centres' rounding bound; at depth 16 rounding alone merges boxes.
+        assert skeleton_analysis(solenoid, depth, 2**depth).section_clusters == clusters
+
+    def test_evidence(self, solenoid):
+        assert skeleton_analysis(solenoid, 2, 1000).to_dict()["evidence"] == "exact"
+        assert skeleton_analysis(_cat_map(), 2, 1000).to_dict()["evidence"] == "sampled"
+        assert {"exact", "sampled"} <= set(EVIDENCE)
+
+    def test_too_many_cells_refused(self, solenoid):
+        with pytest.raises(ValueError, match="cells"):
+            skeleton_analysis(solenoid, 2, 1000, scales=(1e-5, 1e-6))
+
+    def test_zero_width_boxes_refused(self):
+        with pytest.raises(DegenerateCloud):
+            skeleton_analysis(builtin_model("jet_space"), 1100, 100)
+
+
+def _reference_box_clusters(centres, half, gap):
+    """Components of the graph linking the boxes within ``gap``, pair by pair."""
+    sep = np.maximum(np.abs(centres[:, None] - centres[None]) - 2 * half, 0.0)
+    adj = coo_matrix(np.sum(sep * sep, axis=2) <= gap * gap)
+    return int(connected_components(adj, directed=False)[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_box_components_match_pairwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1.0, 1.0, size=(400, 2))
+    half, gap = rng.uniform(0.0, 0.03, size=2), 0.02
+    assert torus_builder._components(centres, half, gap) == _reference_box_clusters(
+        centres, half, gap)
 
 
 def _reference_clusters(points, gap):
