@@ -309,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             _check_output_paths(args)
+            # The report echoes every input, so one the command never reads counts too.
+            bad = _non_finite(vars(args))
+            if bad:
+                raise ValueError(f"--{bad.split('.')[0].replace('_', '-')} must be finite")
             return args.func(args)
         except SearchExhausted as exc:
             _write_report(args, args.command, "not-found",

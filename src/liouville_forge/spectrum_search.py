@@ -286,7 +286,7 @@ def ergodic_scan(
     the ones the full orbit gives.
 
     Not called by ``find_matrix``; deleted with the benchmark refresh
-    (ROADMAP item 4).
+    (ROADMAP item 8).
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError("eps must be positive and finite")
@@ -319,7 +319,7 @@ def _dynamics_jacobian(lam: np.ndarray, sigma: SigmaVector, k1: int) -> np.ndarr
     ``newton_refine``.
 
     Not called by ``find_matrix``; deleted with the benchmark refresh
-    (ROADMAP item 4).
+    (ROADMAP item 8).
     """
     m = lam.size
     s1 = sigma.value(1)
@@ -350,7 +350,7 @@ def newton_refine(
     lambda_i omitted).
 
     Not called by ``find_matrix``; deleted with the benchmark refresh
-    (ROADMAP item 4).
+    (ROADMAP item 8).
     """
     lam = np.asarray(seed.lams, dtype=float)
     if lam.size == 0:
@@ -382,7 +382,7 @@ def solve_tail(sigma: SigmaVector, k1: int) -> tuple[float, float]:
     """Real roots of t^2 - (k1 - sigma_1) t + 1/sigma_m, larger magnitude first.
 
     Not called by ``find_matrix``; deleted with the benchmark refresh
-    (ROADMAP item 4).
+    (ROADMAP item 8).
     """
     if sigma.last == 0:
         raise DegenerateSigma("sigma_{n-2} vanishes")

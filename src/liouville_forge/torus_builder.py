@@ -6,7 +6,7 @@ transversality after the collar tilt, and measures the skeleton attractor
 by box and cluster counting on one grid.  A model with a section is measured
 exactly, on the multiplier^depth boxes that make up the depth-d image's
 fiber; any other model through a cloud of iterated seeds.  ``section_cloud``
-still samples the fiber, for export.
+places a seed cloud on those boxes in closed form, for export.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .contact_kernel import (
     Chart,
     ContactModel,
     ModelError,
-    Section,
     _BLOCK_ROWS,
     _in_row_blocks,
     halton,
@@ -268,7 +267,8 @@ def boundary_transversality_check(
         mid = 0.5 * (c.lo + c.hi)
         collar[:, i] = mid + (collar[:, i] - mid) * scale
     g_vals = model.G(base.codomain.reduce(base.phi(collar)))
-    return min(float(np.min(model.tilt_eps / g_vals)), 1.0)
+    with np.errstate(over="ignore"):  # a roof near 0 pairs at inf, capped at 1
+        return min(float(np.min(model.tilt_eps / g_vals)), 1.0)
 
 
 # -- attractor iteration ------------------------------------------------------
@@ -322,19 +322,37 @@ def iterate_attractor(
     return SkeletonSample(points=pts, depth=depth, chart=model.chart)
 
 
-def _fiber(model: ContactModel, depth: int) -> tuple[Section, int, float]:
-    """The model's section, the position of its one circle factor and that
-    factor's period, else ``ModelError``."""
+def _section_boxes(model: ContactModel, depth: int,
+                   theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (a row per branch) and half-widths of the interval boxes that
+    make up the depth-d image's fiber at ``theta0``: the chart's box pushed d
+    times through the map, branch k's angle at step j taken from the integer
+    k·m^j mod m^d.  ``ModelError`` for a section record that does not fit the
+    chart, or unless the map is affine as ``Section`` states, to 1e-9 of the
+    chart's half-widths on its probe points."""
     _require_self_map(model, depth)
-    chart, section = model.chart, model.section
+    chart, section, iv = model.chart, model.section, list(model.chart.interval_idx)
     if len(chart.periodic_idx) != 1:
         raise ModelError("section seeding needs exactly one circle factor")
     if section is None or not (isinstance(section.multiplier, int) and section.multiplier >= 1):
         raise ModelError("model does not declare a section with an integer multiplier >= 1")
-    if len(section.rates) != len(chart.interval_idx):
+    if len(section.rates) != len(iv):
         raise ModelError("a section needs one rate per interval coordinate")
-    pi_idx = chart.periodic_idx[0]
-    return section, pi_idx, chart.coords[pi_idx].period
+    mid, half = (chart.lows() + chart.highs()) / 2, (chart.highs() - chart.lows())[iv] / 2
+    probe = chart.probe_points()
+    at_mid = np.where(np.isin(np.arange(chart.dim), iv), mid, probe)
+    with np.errstate(all="ignore"):
+        shift = model.phi(probe)[:, iv] - model.phi(at_mid)[:, iv]
+    if not np.all(np.abs(shift - (probe - at_mid)[:, iv] * section.rates) <= 1e-9 * half):
+        raise ModelError("the section's map is not diag(rates)·x + t(theta) on the probe points")
+    pi_idx, m = chart.periodic_idx[0], section.multiplier
+    period, branches = chart.coords[pi_idx].period, m**depth
+    index, pts = np.arange(branches), np.tile(mid, (branches, 1))
+    for j in range(depth):
+        pts[:, pi_idx] = (theta0 % period * m**j + period * index) / branches
+        pts = model.phi(pts)
+        index = index * m % branches
+    return pts[:, iv], half * np.abs(np.array(section.rates)) ** depth
 
 
 def section_cloud(
@@ -344,52 +362,24 @@ def section_cloud(
     theta0: float = 0.0,
     rng_seed: int = 0,
 ) -> SkeletonSample:
-    """Depth-m image cloud restricted exactly to a circle-factor fiber.
-
-    Seeds the angle coordinate at the multiplier^depth preimages of
-    ``theta0``, reduced modulo the period first, so the iterated cloud is
-    the full cross-section of the depth-m image at every finite angle, free
-    of slab-thickness smearing: every point lies on the fiber.
-    """
-    section, pi_idx, period = _fiber(model, depth)
+    """Depth-d image cloud restricted exactly to the fiber at ``theta0``,
+    placed on the boxes of ``_section_boxes`` (and refused as they are):
+    as ``Section`` states, d steps from branch k's preimage of ``theta0``
+    send a seed x of the chart's interval box to centre_k + diag(rates)^d·
+    (x − mid), signs kept, and its angle to ``theta0 % period``.  So every
+    point lies on the fiber at any finite angle, and the map runs only on the
+    box centres.  Rows run branch by branch, the Halton seeds in order."""
+    centres, _ = _section_boxes(model, depth, theta0)
     chart = model.chart
-    branches = section.multiplier**depth
-    angles = (theta0 % period + period * np.arange(branches)) / branches
-
+    pi_idx = chart.periodic_idx[0]
     u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
-    block = np.empty((seeds_per_branch, chart.dim))
-    for col, i in enumerate(chart.interval_idx):
+    pts = np.empty((len(centres), seeds_per_branch, chart.dim))
+    pts[:, :, pi_idx] = theta0 % chart.coords[pi_idx].period
+    for col, (i, rate) in enumerate(zip(chart.interval_idx, model.section.rates)):
         c = chart.coords[i]
-        block[:, i] = c.lo + u[:, col] * (c.hi - c.lo)
-
-    pts = np.tile(block, (branches, 1))
-    pts[:, pi_idx] = np.repeat(angles, seeds_per_branch)
-    return SkeletonSample(points=_iterate(model, pts, depth), depth=depth, chart=chart)
-
-
-def _section_boxes(model: ContactModel, depth: int,
-                   theta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centres (a row per branch) and half-widths of the interval boxes that
-    make up the depth-d image's fiber at ``theta0``: the chart's box pushed d
-    times through the map, branch k's angle at step j taken from the integer
-    k·m^j mod m^d.  ``ModelError`` unless the map is affine as ``Section``
-    states, to 1e-9 of the chart's half-widths on its probe points."""
-    section, pi_idx, period = _fiber(model, depth)
-    chart, iv = model.chart, list(model.chart.interval_idx)
-    mid, half = (chart.lows() + chart.highs()) / 2, (chart.highs() - chart.lows())[iv] / 2
-    probe = chart.probe_points()
-    at_mid = np.where(np.isin(np.arange(chart.dim), iv), mid, probe)
-    with np.errstate(all="ignore"):
-        shift = model.phi(probe)[:, iv] - model.phi(at_mid)[:, iv]
-    if not np.all(np.abs(shift - (probe - at_mid)[:, iv] * section.rates) <= 1e-9 * half):
-        raise ModelError("the section's map is not diag(rates)·x + t(theta) on the probe points")
-    m, branches = section.multiplier, section.multiplier**depth
-    index, pts = np.arange(branches), np.tile(mid, (branches, 1))
-    for j in range(depth):
-        pts[:, pi_idx] = (theta0 % period * m**j + period * index) / branches
-        pts = model.phi(pts)
-        index = index * m % branches
-    return pts[:, iv], half * np.abs(np.array(section.rates)) ** depth
+        step = (c.lo + u[:, col] * (c.hi - c.lo) - (c.lo + c.hi) / 2) * rate**depth
+        np.add(centres[:, col, None], step, out=pts[:, :, i])
+    return SkeletonSample(points=pts.reshape(-1, chart.dim), depth=depth, chart=chart)
 
 
 def cross_section(
@@ -424,7 +414,8 @@ def _grid(lo: np.ndarray, hi: np.ndarray, org: np.ndarray,
     """First cells and cell spans per column of a cloud with column extremes
     ``lo`` and ``hi`` on the grid of side ``size`` from ``org``; the extremes
     bound every cell index, and one outside int64 raises ``ValueError``."""
-    first, last = np.floor((lo - org) / size), np.floor((hi - org) / size)
+    with np.errstate(over="ignore"):
+        first, last = np.floor((lo - org) / size), np.floor((hi - org) / size)
     if not (np.all(first >= -(2.0**63)) and np.all(last < 2.0**63)):
         raise ValueError(f"a cell index at scale {size:g} does not fit in int64")
     return first, [int(b) - int(a) + 1 for a, b in zip(first, last)]

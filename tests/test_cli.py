@@ -8,10 +8,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liouville_forge
 from liouville_forge import cli, torus_builder
-from liouville_forge.cli import main
+from liouville_forge.cli import build_parser, main
 
 
 def run(argv):
@@ -518,3 +520,80 @@ class TestReportShape:
         out = tmp_path / "r.json"
         assert run(["skeleton", *argv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["results"]["skeleton"]["evidence"] == evidence
+
+
+# The extreme values of every float option, and the models each subcommand
+# builds, at sizes small enough that an example takes milliseconds.
+_EXTREMES = (0.0, -1.0, 1e-300, 5e-324, 1e300, -1e300, 1e308, -1e308,
+             math.nan, math.inf, -math.inf)
+_MODELS = {"find-matrix": (None,),
+           "certify": ("solenoid", "jet-space", "transverse-knot", "anosov"),
+           "skeleton": ("solenoid", "jet-space", "anosov"),
+           "descent": ("solenoid", "jet-space", "transverse-knot", "anosov")}
+_SIZES = {"find-matrix": ["--n", "3", "--mu", "1.0"], "certify": ["--samples", "200"],
+          "skeleton": ["--depth", "2", "--seeds", "500"], "descent": ["--samples", "200"]}
+
+
+def _float_options():
+    """(subcommand, model, option) for every float option each subcommand's
+    parser accepts, read off the parser, whether or not the model reads it."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return [(command, model, action.option_strings[0])
+            for command, parser in commands.items() for model in _MODELS[command]
+            for action in parser._actions if action.type is float]
+
+
+def _argv(command, model, option, value):
+    argv = [command] + ([] if model is None else ["--model", model]) + _SIZES[command]
+    if model == "anosov":
+        argv += ["--n", "3", "--mu", "1.0"]
+    # "--option=value", or a leading space in a list, keeps argparse from
+    # reading a negative value such as -1e300 as an option.
+    if option == "--scales":
+        return argv + ["--scales", "0.3", f" {value!r}"]
+    return argv + [f"{option}={value!r}"]
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports") / "r.json"
+
+
+@given(case=st.sampled_from(_float_options()),
+       value=st.one_of(st.sampled_from(_EXTREMES),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+# An unread option echoed into the report, and two overflows that warned.
+@example(case=("certify", "solenoid", "--eps"), value=math.nan)
+@example(case=("certify", "anosov", "--tol"), value=1e308)
+@example(case=("descent", "solenoid", "--force-G"), value=5e-324)
+def test_every_float_option_ends_in_a_documented_exit(report_path, case, value):
+    report_path.unlink(missing_ok=True)
+    code = main(_argv(*case, value) + ["--out", str(report_path)])
+    assert code in (0, 1, 2, 3)
+    assert report_path.exists() == (code != 2)
+    if code != 2:
+        report = json.loads(report_path.read_text(), parse_constant=_refuse_constant)
+        if code == 0:
+            assert all(math.isfinite(x) for x in _numbers(report["results"]))
+
+
+def test_float_options_cover_every_subcommand():
+    options = {(command, option) for command, _, option in _float_options()}
+    assert {command for command, _ in options} == set(_MODELS)
+    assert {("skeleton", "--scales"), ("skeleton", "--section"), ("descent", "--force-G"),
+            ("descent", "--tilt-eps"), ("certify", "--tol"), ("find-matrix", "--eps")} <= options

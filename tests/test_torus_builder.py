@@ -503,16 +503,17 @@ def _stepwise(model, pts, depth):
 @pytest.mark.parametrize(
     "make, cloud",
     [
-        # 256 branches of 100 seeds: three full blocks and a partial one.
+        # 25 600 seeds, as many as 256 branches of 100: three full blocks
+        # and a partial one.
         (lambda: builtin_model("solenoid"),
-         lambda m: section_cloud(m, 8, 100, rng_seed=3)),
+         lambda m: iterate_attractor(m, 8, 25_600, rng_seed=3)),
         (lambda: builtin_model("jet_space"),
-         lambda m: section_cloud(m, 6, 20_000, rng_seed=3)),
+         lambda m: iterate_attractor(m, 6, 20_000, rng_seed=3)),
         (_cat_map, lambda m: iterate_attractor(m, 3, 20_000, rng_seed=3)),
         (lambda: builtin_model("solenoid"),
          lambda m: iterate_attractor(m, 4, 1000, rng_seed=3)),
     ],
-    ids=["solenoid-section-depth8", "jet-space-section", "cat-map-cloud",
+    ids=["solenoid-cloud-depth8", "jet-space-cloud", "cat-map-cloud",
          "smaller-than-a-block"],
 )
 def test_block_iteration_matches_whole_array_steps(make, cloud, monkeypatch):
@@ -535,14 +536,15 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _depth8_section_steps(solenoid, monkeypatch):
-    """The arrays the map sees in a depth-8 section cloud of 100 seeds per
-    branch, one per step: runs of 100 equal angles."""
-    seeded = []
-    with monkeypatch.context() as m:
-        m.setattr(torus_builder, "_iterate", lambda model, pts, depth: seeded.append(pts))
-        section_cloud(solenoid, 8, 100, rng_seed=3)
-    steps = [seeded[0]]
+def _depth8_section_steps(solenoid):
+    """The arrays the map sees when 100 seeds per branch of the depth-8
+    section are iterated, one per step: 256 runs of 100 equal angles."""
+    chart = solenoid.chart
+    lo, hi = chart.lows()[[1, 2]], chart.highs()[[1, 2]]
+    seeds = np.empty((100, 3))
+    seeds[:, 1:] = lo + contact_kernel.halton(100, 2, 3) * (hi - lo)
+    steps = [np.tile(seeds, (256, 1))]
+    steps[0][:, 0] = np.repeat(chart.coords[0].period * np.arange(256) / 256, 100)
     for _ in range(7):
         steps.append(solenoid.chart.reduce(_solenoid_columns(steps[-1])))
     return steps
@@ -556,8 +558,8 @@ def _signed_zeros_and_non_finite():
 
 
 class TestSolenoidRunsMatchColumnFormula:
-    def test_depth8_section_steps(self, solenoid, monkeypatch):
-        for pts in _depth8_section_steps(solenoid, monkeypatch):
+    def test_depth8_section_steps(self, solenoid):
+        for pts in _depth8_section_steps(solenoid):
             assert np.count_nonzero(np.diff(pts[:, 0])) < len(pts) // 50  # runs
             assert np.array_equal(_bits(solenoid.phi(pts)), _bits(_solenoid_columns(pts)))
 
@@ -574,8 +576,8 @@ class TestSolenoidRunsMatchColumnFormula:
         assert np.array_equal(np.signbit(got[:5, 2]), np.signbit(pts[:5, 0]))
 
     @pytest.mark.parametrize("layout", ["fortran", "row-strided", "column-strided"])
-    def test_memory_layouts(self, solenoid, layout, monkeypatch):
-        pts = _depth8_section_steps(solenoid, monkeypatch)[3]
+    def test_memory_layouts(self, solenoid, layout):
+        pts = _depth8_section_steps(solenoid)[3]
         if layout == "fortran":
             view = np.asfortranarray(pts)
         elif layout == "row-strided":
@@ -899,6 +901,53 @@ class TestSectionBoxes:
     def test_zero_width_boxes_refused(self):
         with pytest.raises(DegenerateCloud):
             skeleton_analysis(builtin_model("jet_space"), 1100, 100)
+
+
+def _negative_rate_solenoid(solenoid):
+    """The solenoid with x -> -x/10 + cos(theta)/2: a section rate below 0."""
+    def forward(p):
+        th = p[:, 0]
+        return np.column_stack(
+            [2.0 * th, -p[:, 1] / 10.0 + np.cos(th) / 2.0, p[:, 2] / 20.0 + np.sin(th) / 4.0])
+
+    return replace(solenoid, phi=replace(solenoid.phi, forward=forward),
+                   section=Section(2, (-0.1, 0.05)))
+
+
+class TestSectionCloud:
+    def test_depth14_counts_equal_the_boxes(self, solenoid):
+        # Float angle doubling of the seeds once read 1044 / 2064 / 4474
+        # cells at the three finest scales, where the boxes meet 1045 / 2043 / 4126.
+        scales = [0.5 * 10.0**-j for j in range(1, 12)]
+        pts = section_cloud(solenoid, 14, 61).points[:, [1, 2]]
+        sampled = box_counting_dimension(pts, scales, origin=solenoid.chart.lows()[[1, 2]])
+        boxes = skeleton_analysis(solenoid, 14, 1_000_000, scales=scales)
+        assert sampled.counts == boxes.box.counts
+
+    def test_seeds_placed_in_their_boxes_without_iteration(self, solenoid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the seeds were iterated")
+
+        monkeypatch.setattr(torus_builder, "_iterate", refuse)
+        pts = section_cloud(solenoid, 8, 100, theta0=7.0).points
+        centres, half = torus_builder._section_boxes(solenoid, 8, 7.0)
+        assert np.all(np.abs(pts[:, [1, 2]].reshape(256, 100, 2) - centres[:, None]) < half)
+        assert np.all(pts[:, 0] == 7.0 % solenoid.chart.coords[0].period)
+
+    @pytest.mark.parametrize("depth", [1, 4, 13])
+    def test_negative_rate_matches_stepwise_iteration(self, solenoid, depth):
+        model, per_branch, theta0 = _negative_rate_solenoid(solenoid), 4, 1.0
+        period, branches = solenoid.chart.coords[0].period, 2**depth
+        got = section_cloud(model, depth, per_branch, theta0=theta0).points
+        pts = section_cloud(model, 0, per_branch).points
+        pts = np.tile(pts, (branches, 1))
+        index = np.repeat(np.arange(branches), per_branch)
+        for j in range(depth):
+            pts[:, 0] = (theta0 % period * 2**j + period * index) / branches
+            pts = model.phi(pts)
+            index = index * 2 % branches
+        assert np.max(np.abs(got[:, 1:] - pts[:, 1:])) <= 1e-13
+        assert np.all(got[:, 0] == theta0 % period)
 
 
 def _reference_box_clusters(centres, half, gap):
