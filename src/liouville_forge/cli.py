@@ -13,9 +13,11 @@ the section cloud and builds that cloud, all on the fiber, only for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -51,6 +53,18 @@ SCHEMA_VERSION = 2
 _USAGE_ERRORS = (ValueError, UnknownModel, ModelError, EigenFailure, MemoryError, OSError)
 _K1_MAX_HELP = ("largest k1 tried; the search doubles k1 from its floor and "
                "rounds once at each value")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token such as -1e-1 or -inf as a
+    negative number, not as an unknown option: argparse's own pattern covers
+    only -digits and -digits.digits, so list options such as ``--mu`` and
+    ``--scales`` refused exponent notation.  Subparsers take this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(inf|infinity|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.IGNORECASE)
 
 
 class ReportError(Exception):
@@ -173,7 +187,8 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             section_info["clusters"] = analysis.section_clusters
         results["section"] = section_info
         if args.csv_out:
-            sample = section_cloud(model, args.depth, per_branch, args.section, args.seed)
+            sample = section_cloud(model, args.depth, per_branch, args.section, args.seed,
+                                   centres=analysis.centres)
             csv_points = sample.points[:, chart.interval_idx]
             csv_names = [chart.names[i] for i in chart.interval_idx]
     elif args.csv_out:
@@ -240,7 +255,7 @@ def _add_model_args(p: argparse.ArgumentParser, models: tuple[str, ...]) -> None
         p.add_argument("--knot-eps", type=float, default=0.5, dest="knot_eps",
                        help="transverse-knot neighborhood radius")
     p.add_argument("--n", type=int, default=2, help="anosov: torus dimension")
-    p.add_argument("--mu", type=float, nargs="*", default=[],
+    p.add_argument("--mu", type=float, nargs="*", default=(),
                    help="anosov: prescribed middle eigenvalues (n-2 values)")
     p.add_argument("--eps", type=float, default=0.4, help="anosov: spectrum tolerance")
     p.add_argument("--k1-max", type=int, default=200_000, dest="k1_max",
@@ -248,7 +263,9 @@ def _add_model_args(p: argparse.ArgumentParser, models: tuple[str, ...]) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser for the four subcommands.  Its defaults are immutable,
+    so ``main`` can parse every command line of a process with one parser."""
+    parser = _Parser(
         prog="liouville-forge",
         description=(
             "Verification and search toolkit: certify contraction maps on "
@@ -264,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-matrix", allow_abbrev=False, help="search for a "
                        "unit-determinant matrix with prescribed real spectrum")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=float, nargs="*", default=[])
+    p.add_argument("--mu", type=float, nargs="*", default=())
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--k1-max", type=int, default=200_000, dest="k1_max", help=_K1_MAX_HELP)
     _add_common(p)
@@ -304,8 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
             _check_output_paths(args)

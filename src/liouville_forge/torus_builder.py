@@ -148,6 +148,7 @@ class SkeletonAnalysis:
     seeds: int
     evidence: str  # a key of contact_kernel.EVIDENCE
     sample: SkeletonSample | None = None  # the cloud route's cloud; not reported
+    centres: np.ndarray | None = None  # the section route's box centres; not reported
 
     def to_dict(self) -> dict:
         return {
@@ -281,8 +282,10 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
 
 
 # _iterate takes _BLOCK_ROWS rows through every step while they sit in cache;
-# export_cloud_csv formats _CSV_ROWS rows per write.
-_CSV_ROWS = 4096
+# export_cloud_csv formats _CSV_ROWS rows per write, with about twenty uint64
+# temporaries per value: 2048 rows keep them near 1 MiB at three columns, and
+# twice as many rows write no faster.
+_CSV_ROWS = 2048
 
 
 def _iterate(model: ContactModel, pts: np.ndarray, depth: int) -> np.ndarray:
@@ -361,6 +364,7 @@ def section_cloud(
     seeds_per_branch: int,
     theta0: float = 0.0,
     rng_seed: int = 0,
+    centres: np.ndarray | None = None,
 ) -> SkeletonSample:
     """Depth-d image cloud restricted exactly to the fiber at ``theta0``,
     placed on the boxes of ``_section_boxes`` (and refused as they are):
@@ -368,8 +372,12 @@ def section_cloud(
     send a seed x of the chart's interval box to centre_k + diag(rates)^d·
     (x − mid), signs kept, and its angle to ``theta0 % period``.  So every
     point lies on the fiber at any finite angle, and the map runs only on the
-    box centres.  Rows run branch by branch, the Halton seeds in order."""
-    centres, _ = _section_boxes(model, depth, theta0)
+    box centres.  Rows run branch by branch, the Halton seeds in order.
+    ``centres``, when given, are those boxes' centres as the section route of
+    ``skeleton_analysis`` keeps them for the same model, depth and angle, so
+    the boxes are not built again."""
+    if centres is None:
+        centres, _ = _section_boxes(model, depth, theta0)
     chart = model.chart
     pi_idx = chart.periodic_idx[0]
     u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
@@ -708,7 +716,113 @@ def skeleton_analysis(
     # Centres are good to 8 ulps per step of their largest coordinate (or of 1).
     exact = gap > 8 * depth * np.finfo(float).eps * max(1.0, float(np.max(np.abs(centres))))
     clusters = _components(centres, half, gap) if section.multiplier > 1 and exact else None
-    return SkeletonAnalysis(2.0 + box.slope, "section", box, clusters, depth, seeds, "exact")
+    return SkeletonAnalysis(2.0 + box.slope, "section", box, clusters, depth, seeds, "exact",
+                            centres=centres)
+
+
+def _least_double_at_least(j: int) -> float:
+    """The least double >= 10^j, for j <= 0."""
+    t = float(f"1e{j}")
+    n, d = t.as_integer_ratio()
+    return t if n * 10**-j >= d else float(np.nextafter(t, 1.0))
+
+
+def _word(text: str) -> int:
+    """``text`` as a little-endian integer: its first byte lowest."""
+    return int.from_bytes(text.encode(), "little")
+
+
+# export_cloud_csv writes each x with 10^-16 <= |x| < 10, k = floor(log10|x|)
+# in [-16, 0], through uint64 columns; these tables run over k + 16.  The least
+# doubles >= 10^-16 ... 10^0, and 5^(16-k) in 32-bit limbs, low limb first
+# (5^32 < 2^75):
+_POW10 = np.array([_least_double_at_least(j) for j in range(-16, 1)])
+_POW5 = np.array([[5**q & 0xFFFFFFFF, 5**q >> 32 & 0xFFFFFFFF, 5**q >> 64]
+                  for q in range(32, 15, -1)], np.uint64)
+# A cell's first word: "0." and leading zeros (fixed notation, k < 0), a NUL
+# where the first digit goes, and the point after it (k = 0, or exponent form
+# from k = -5 on); its last word: "e-NN" (exponent form), then "," or "\n".
+_HEADS = ["0." + "0" * (-k - 1) if -4 <= k < 0 else "" for k in range(-16, 1)]
+_W0 = np.array([_word(h + ("\0" if h else "\0.")) for h in _HEADS], np.uint64)
+_LEAD_SHIFT = np.array([8 * len(h) for h in _HEADS], np.uint64)
+_POINT = np.array([0 if h else _word("\0.") for h in _HEADS], np.uint64)
+_W3 = np.array([[_word((f"e-{-k:02d}" if k < -4 else "") + sep) for k in range(-16, 1)]
+                for sep in ",\n"], np.uint64)
+
+
+def _digit_bytes(n: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each uint64 n < 10^8 as bytes 0..9, the
+    most significant in the lowest byte.  n splits into two 4-digit lanes of
+    32 bits, each lane into two 2-digit lanes of 16 bits, and each of those
+    into two digits; each split is one multiply-shift on all lanes at once
+    (x // 100 = x·5243 >> 19 for x < 43699, x // 10 = x·103 >> 10 for x < 179)."""
+    v = n // 10_000 | (n % 10_000) << 32
+    q = v * 5243 >> 19 & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = v * 103 >> 10 & 0x000F000F000F000F
+    return q | (v - q * 10) << 8
+
+
+def _kept_bytes(x: np.ndarray) -> np.ndarray:
+    """0xFF in each byte of ``x`` up to its highest nonzero byte and 0 above
+    it, for uint64 ``x`` whose every byte is at most 15."""
+    x = x | x >> 8
+    x |= x >> 16
+    x |= x >> 32
+    return ((x + 0x7F7F7F7F7F7F7F7F) >> 7 & 0x0101010101010101) * 0xFF
+
+
+def _csv_cells(block: np.ndarray) -> np.ndarray:
+    """Each value of an (n, d) block as the bytes of ``'%.17g'``, then a comma
+    (a newline in the last column), NUL-padded to four little-endian words.
+
+    For 10^-16 <= |x| < 10 the digits come from integers: x = m·2^(e-53)
+    with m < 2^53 from ``np.frexp``, k from ``_POW10``, and the 17 significant
+    digits D = m·5^(16-k)·2^(e-37-k) rounded half to even, a 128-bit product
+    (32-bit limbs) shifted right by t + 1 bits, t in [32, 73].  As k is exact,
+    the floored quotient lies in [10^16, 10^17); a D that rounds up to 10^17
+    is 10^16 at k + 1.  SWAR steps turn D into ASCII, and a byte mask drops
+    trailing zeros (and a point left last).  Every other value (±0, |x| >= 10,
+    smaller ones, subnormals, nan, ±inf) takes Python's '%.17g' in its cell."""
+    a = np.abs(block)
+    fast = (a >= _POW10[0]) & (a < 10.0)
+    a = np.where(fast, a, 1.0)
+    k = np.searchsorted(_POW10[1:], a, side="right")  # k + 16
+    f, e = np.frexp(a)
+    m = (f * 2.0**53).astype(np.uint64)
+    c0, c1, c2 = np.moveaxis(_POW5[k], -1, 0)
+    a0, a1 = m & 0xFFFFFFFF, m >> 32
+    p0, p1, p2 = a0 * c0, a0 * c1, a1 * c0
+    mid = (p0 >> 32) + (p1 & 0xFFFFFFFF) + (p2 & 0xFFFFFFFF)
+    lo = p0 & 0xFFFFFFFF | mid << 32
+    hi = (mid >> 32) + (p1 >> 32) + (p2 >> 32) + a0 * c2 + a1 * c1 + (a1 * c2 << 32)
+    # P >> t, and whether any bit of P below t is set: P's lowest set bit is
+    # m's, below bit 53, so lo alone answers that.  numpy shifts by 64 or
+    # more give 0.
+    t = (20 - e + k).astype(np.uint64)  # 36 - e + k, as k holds k + 16
+    left = np.maximum(64 - t.astype(np.int64), 0).astype(np.uint64)
+    q2 = hi << left >> (t + left - 64) | lo >> t
+    sticky = lo << left != 0
+    d = (q2 >> 1) + (q2 & (sticky | q2 >> 1) & 1)  # half to even
+    up = d == 10**17
+    d[up] = 10**16
+    k += up
+    r = d % 10**16
+    x1, x2 = _digit_bytes(r // 10**8), _digit_bytes(r % 10**8)
+    w0 = _W0[k] | (d // 10**16 + ord("0")) << _LEAD_SHIFT[k]
+    w0 -= np.where(r == 0, _POINT[k], 0)
+    neg = np.signbit(block).astype(np.uint64)
+    cells = np.empty(block.shape + (4,), "<u8")
+    cells[..., 0] = w0 << 8 * neg | neg * ord("-")
+    cells[..., 1] = x1 + 0x3030303030303030 & np.where(x2 != 0, ~np.uint64(0), _kept_bytes(x1))
+    cells[..., 2] = x2 + 0x3030303030303030 & _kept_bytes(x2)
+    cells[..., 3] = _W3[(np.arange(block.shape[1]) == block.shape[1] - 1).astype(int), k]
+    if not fast.all():
+        seps = [","] * (block.shape[1] - 1) + ["\n"]
+        _, cols = np.nonzero(~fast)
+        text = ["%.17g%s" % (v, seps[c]) for v, c in zip(block[~fast].tolist(), cols.tolist())]
+        cells[~fast] = np.array(text, "S32").view("<u8").reshape(-1, 4)
+    return cells
 
 
 def export_cloud_csv(
@@ -719,16 +833,22 @@ def export_cloud_csv(
 ) -> int:
     """Write a cloud as CSV, one point per row with values as ``%.17g`` (the
     bytes of ``np.savetxt``); uniform stride subsampling keeps the file at or
-    below ``max_rows`` rows.  Returns rows written."""
+    below ``max_rows`` rows.  Returns rows written.
+
+    ``_CSV_ROWS`` rows at a time are formatted on uint64 columns: each value
+    with 10^-16 <= |x| < 10 gets its correctly rounded 17 digits from exact
+    integer arithmetic (``_csv_cells``), every other value (±0, larger or
+    smaller magnitudes, subnormals, nan, ±inf) from Python's ``'%.17g'``, in
+    the same buffer, and the NUL padding is dropped before the write."""
     pts = _cloud(points)
     if pts.shape[1] != len(names):
         raise ValueError("column names do not match point dimension")
     if len(pts) > max_rows:
         stride = int(math.ceil(len(pts) / max_rows))
         pts = pts[::stride]
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for block in np.split(pts, range(_CSV_ROWS, len(pts), _CSV_ROWS)):
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for start in range(0, len(pts), _CSV_ROWS):
+            text = _csv_cells(pts[start : start + _CSV_ROWS]).view(np.uint8)
+            fh.write(text[text != 0])
     return len(pts)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import liouville_forge
 from liouville_forge import cli, torus_builder
 from liouville_forge.cli import build_parser, main
+from liouville_forge.contact_kernel import builtin_model
 
 
 def run(argv):
@@ -228,6 +229,28 @@ class TestSkeleton:
                     "--section", "0.0", "--out", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert results["section"]["clusters"] == results["skeleton"]["section_clusters"] == 256
+
+    def test_section_csv_builds_the_boxes_once(self, tmp_path, monkeypatch):
+        # skeleton_analysis builds the section boxes; the CSV is placed on them.
+        calls = []
+        boxes = torus_builder._section_boxes
+
+        def counted(*args):
+            calls.append(args[1:])
+            return boxes(*args)
+
+        monkeypatch.setattr(torus_builder, "_section_boxes", counted)
+        csv = tmp_path / "sec.csv"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+                    "--section", "0.25", "--seed", "5", "--csv-out", str(csv),
+                    "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [(3, 0.25)]
+        model = builtin_model("solenoid")
+        ref = tmp_path / "ref.csv"
+        torus_builder.export_cloud_csv(
+            torus_builder.section_cloud(model, 3, 500, 0.25, 5).points[:, [1, 2]],
+            ["x", "y"], str(ref))
+        assert csv.read_bytes() == ref.read_bytes()
 
     def test_thin_branches_report_no_clusters(self, tmp_path):
         out = tmp_path / "r.json"
@@ -470,6 +493,43 @@ class TestImports:
         assert json.loads((tmp_path / "r.json").read_text())["results"]["section"]["clusters"] == 8
 
 
+class TestParser:
+    def test_one_parser_serves_every_command_of_a_process(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            first, other = ["find-matrix", "--n", "2"], ["find-matrix", "--n", "3", "--mu", "1.5"]
+            texts = []
+            for argv in (first, other, first):
+                out = tmp_path / "r.json"
+                assert run(argv + ["--out", str(out)]) == 0
+                texts.append(out.read_bytes())
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert texts[0] == texts[2] != texts[1]
+        assert json.loads(texts[0])["inputs"]["mu"] == []
+        assert build_parser() is not build_parser()
+
+    def test_list_options_take_negative_exponent_notation(self, tmp_path, capsys):
+        args = build_parser().parse_args(["skeleton", "--model", "solenoid", "--depth", "3",
+                                          "--scales", "-1e-1", "2.5E+0", "-.5e1", "-Inf"])
+        assert args.scales == [-0.1, 2.5, -5.0, -math.inf]
+        out = tmp_path / "r.json"
+        assert run(["find-matrix", "--n", "3", "--mu", "-1e-1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"]["mu"] == [-0.1]
+        # Read as a value, the scale is refused by the library, not by argparse.
+        assert run(["skeleton", "--model", "solenoid", "--depth", "3", "--seeds", "4000",
+                    "--scales", "0.3", "-1e-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: scales must be positive")
+
+
 class TestReportShape:
     def test_sorted_keys_and_metadata(self, tmp_path):
         out = tmp_path / "r.json"
@@ -547,10 +607,10 @@ def _argv(command, model, option, value):
     argv = [command] + ([] if model is None else ["--model", model]) + _SIZES[command]
     if model == "anosov":
         argv += ["--n", "3", "--mu", "1.0"]
-    # "--option=value", or a leading space in a list, keeps argparse from
-    # reading a negative value such as -1e300 as an option.
+    # "--option=value" keeps argparse from reading a negative value such as
+    # -1e300 as an option; a list reads one as a value.
     if option == "--scales":
-        return argv + ["--scales", "0.3", f" {value!r}"]
+        return argv + ["--scales", "0.3", repr(value)]
     return argv + [f"{option}={value!r}"]
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -728,6 +729,65 @@ class TestCsvExport:
         np.savetxt(str(ref), kept, delimiter=",", header="a,b,c", comments="", fmt="%.17g")
         assert rows == len(kept)
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _nudged(x, ulps):
+    """x moved by ``ulps`` units in the last place, for finite x > 0."""
+    return float((np.float64(x).view(np.int64) + ulps).view(np.float64))
+
+
+def _ties(k):
+    """The odd j with 10^17 <= j·5^(17-k) < 10^18: the exact decimal expansion
+    of j·2^(k-17) has 18 significant digits and ends in 5, a tie at 17 digits."""
+    return range(-(-(10**17) // 5 ** (17 - k)) | 1, 10**18 // 5 ** (17 - k), 2)
+
+
+_POWER_OF_TEN_NEIGHBOURS = st.builds(
+    lambda j, ulps: _nudged(float(f"1e{j}"), ulps), st.integers(-18, 1), st.integers(-40, 40))
+_TIES = st.builds(lambda k, i: math.ldexp(_ties(k)[i % len(_ties(k))], k - 17),
+                  st.integers(-8, 0), st.integers(0, 2**20))
+_CSV_VALUES = st.one_of(
+    st.floats(),
+    st.builds(lambda x, sign: sign * x, _POWER_OF_TEN_NEIGHBOURS | _TIES, st.sampled_from((-1, 1))))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "cloud.csv"
+
+
+@given(rows=st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(_CSV_VALUES, min_size=d, max_size=d), min_size=1, max_size=20)))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_csv_bytes_match_savetxt_on_any_floats(csv_path, rows):
+    pts = np.array(rows, float)
+    names = [f"c{i}" for i in range(pts.shape[1])]
+    export_cloud_csv(pts, names, str(csv_path))
+    ref = io.BytesIO()
+    np.savetxt(ref, pts, delimiter=",", header=",".join(names), comments="", fmt="%.17g")
+    assert csv_path.read_bytes() == ref.getvalue()
+
+
+def test_csv_bytes_near_every_power_of_ten_and_on_ties(tmp_path):
+    # Every double within 40 ulps of 10^-18 ... 10^1 and a spread of exact
+    # ties at 17 digits.  1e-14 lies 0.12 units of its 17th digit below
+    # 10^-14, so its digits round up to 10^17 and it is written "1e-14".
+    near = [_nudged(float(f"1e{j}"), u) for j in range(-18, 2) for u in range(-40, 41)]
+    ties = [math.ldexp(j, k - 17) for k in range(-8, 1) for j in _ties(k)[::97]]
+    values = np.array(near + ties)
+    pts = np.concatenate([values, -values])[:, None]
+    path = tmp_path / "cloud.csv"
+    export_cloud_csv(pts, ["v"], str(path))
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1 + near.index(1e-14)] == b"1e-14"
+    assert lines[1:-1] == [b"%.17g" % v for v in pts[:, 0].tolist()]
+
+
+def test_digit_step_on_every_4_digit_lane_value():
+    lane = np.arange(10**4, dtype=np.uint64)
+    n = np.concatenate([lane * 10**4 + lane[::-1], lane[::-1] * 10**4 + lane])
+    ascii_digits = torus_builder._digit_bytes(n) + 0x3030303030303030
+    assert ascii_digits.astype("<u8").tobytes() == b"".join(b"%08d" % v for v in n.tolist())
 
 
 def _oracle_counts(points, scales):
