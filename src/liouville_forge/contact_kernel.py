@@ -357,7 +357,7 @@ class ContactModel:
     Maps that land in a differently-parameterized neighborhood carry a
     separate target chart and the coordinate expression of the same form
     there; self-maps leave both unset.  ``section`` is ``None`` on models
-    whose skeleton is measured through their full cloud; ``affine`` is
+    whose skeleton is measured through their whole image; ``affine`` is
     ``None`` unless ``phi`` was built from it.
     """
 

@@ -5,8 +5,10 @@ checks that the rescaled contact form survives the gluing, verifies boundary
 transversality after the collar tilt, and measures the skeleton attractor
 by box and cluster counting on one grid.  A model with a section is measured
 exactly, on the multiplier^depth boxes that make up the depth-d image's
-fiber; any other model through a cloud of iterated seeds.  ``section_cloud``
-places a seed cloud on those boxes in closed form, for export.
+fiber; an affine model (anosov) exactly, on its depth-d image, a box times
+the torus; any other model through a cloud of iterated seeds.
+``section_cloud`` places a seed cloud on the section boxes in closed form,
+for export.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,9 +152,11 @@ class SkeletonAnalysis:
     evidence: str  # a key of contact_kernel.EVIDENCE
     sample: SkeletonSample | None = None  # the cloud route's cloud; not reported
     centres: np.ndarray | None = None  # the section route's box centres; not reported
+    resolved_scales: int | None = None  # the affine route's scales >= the image's half-width
+    note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "estimate": self.estimate,
             "route": self.route,
             "evidence": self.evidence,
@@ -160,6 +165,10 @@ class SkeletonAnalysis:
             "depth": self.depth,
             "seeds": self.seeds,
         }
+        for key in ("resolved_scales", "note"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
+        return out
 
 
 # -- roof extension -----------------------------------------------------------
@@ -665,6 +674,106 @@ def _default_section_scales(rate: float, depth: int) -> tuple[float, ...]:
 
 _DEFAULT_CLOUD_SCALES = (0.25, 0.125, 0.0625, 0.03125)
 
+# An interval count below changes where (end ± h) / s crosses an integer, at
+# h = ±(s·k - end) for a float scale s and a float chart end: a multiple of
+# 2^-1074.  So every half-width below 2^-1074 counts as _TINY does.
+_TINY = Fraction(1, 2**1075)
+# Bits of the first bounds on |rate|^d that _affine_counts tries; each retry
+# takes four times as many.
+_BOUND_BITS = 64
+
+
+def _power_bounds(x: Fraction, d: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Bounds lo <= x**d <= hi for a float 0 < x <= 1: square-and-multiply
+    on the integer mantissa, cut to ``bits`` bits after each step, rounding
+    lo down and hi up; both are exact once ``bits`` holds x**d's mantissa.
+    A bound below 2^-2200 (times a chart end below 2^1024, below _TINY)
+    reads as 2^-2200, so that no power builds a denominator past it."""
+    m, e = x.numerator, x.denominator.bit_length() - 1  # x = m / 2^e
+    bounds = []
+    for up in (False, True):
+        p, shift = 1, 0
+        for bit in bin(d)[2:]:
+            p, shift = p * p, 2 * shift
+            if bit == "1":
+                p *= m
+            cut = max(p.bit_length() - bits, 0)
+            p, shift = (-(-p >> cut) if up else p >> cut), shift + cut
+        exp = shift - e * d
+        bounds.append(Fraction(1, 2**2200) if exp + p.bit_length() < -2200
+                      else p * Fraction(2) ** exp)
+    return bounds[0], bounds[1]
+
+
+def _affine_counts(model: ContactModel, depth: int, scales: list[float] | None
+                   ) -> tuple[list[float], list[int], int, float]:
+    """Scales, their exact box counts of the depth-d image, how many scales
+    are at least its largest half-width, and that half-width.
+
+    An affine model sends the chart's interval box (centred on 0) to the box
+    of half-widths h = end·|rate|^d, and the torus onto itself, so the open
+    interval (-h, h) meets ceil((end + h)/s) - floor((end - h)/s) cells of
+    the grid from -end, and a circle of period P ceil(P/s).  The counts are
+    exact rationals on the float ends, rates and scales.  Each count rises
+    with h, so bounds on |rate|^d that give the same results give the exact
+    ones; ``_power_bounds`` tightens them until they do.  ``scales`` None
+    reads the dyadic 2^-j from 1/2 down to the largest h, at least 1/2 and
+    1/4, while every chart point's cell index fits in int64 and the count
+    in a float.  Given scales that break either raise ``ValueError``."""
+    chart, rates = model.chart, model.affine.rates
+    iv, lows, highs = chart.interval_idx, chart.lows(), chart.highs()
+    if len(rates) != len(iv):
+        raise ModelError("an affine record needs one rate per interval coordinate")
+    if not all(0 < abs(r) <= 1 for r in rates):
+        raise ModelError("the affine route needs every rate in 0 < |rate| <= 1")
+    if not all(lows[i] == -highs[i] for i in iv):
+        raise ModelError("the affine route needs interval coordinates centred on 0")
+    ends = [Fraction(highs[i]) for i in iv]
+    periods = [Fraction(chart.coords[i].period) for i in chart.periodic_idx]
+
+    def fits(s: float) -> bool:
+        try:
+            _grid(lows, highs, lows, s)
+        except ValueError:
+            return False
+        return True
+
+    def count(s: float, hs: list[Fraction]) -> int:
+        s = Fraction(s)
+        c = math.prod(math.ceil(p / s) for p in periods)
+        for end, h in zip(ends, hs):
+            c *= math.ceil((end + h) / s) - math.floor((end - h) / s)
+        return c
+
+    def answer(hs: list[Fraction]) -> tuple[list[float], list[int], int]:
+        top, found, counts = max(hs), [], []
+        for s in scales or (2.0**-j for j in range(1, 1075)):
+            c = count(s, hs)
+            if scales is None and ((len(found) >= 2 and s < top) or not fits(s)
+                                   or c > sys.float_info.max):
+                break
+            found.append(s)
+            counts.append(c)
+        return found, counts, sum(s >= top for s in found)
+
+    for s in scales or ():
+        _grid(lows, highs, lows, s)
+    bits = _BOUND_BITS
+    while True:
+        bounds = [_power_bounds(Fraction(abs(r)), depth, bits) for r in rates]
+        hs = [[max(end * p, _TINY) for end, p in zip(ends, side)] for side in zip(*bounds)]
+        low = answer(hs[0])
+        if low == answer(hs[1]):
+            break
+        bits *= 4
+    found, counts, resolved = low
+    if len(found) < 2:
+        raise ValueError("fewer than two dyadic scales fit the chart's grid")
+    for s, c in zip(found, counts):
+        if c > sys.float_info.max:
+            raise ValueError(f"the box count at scale {s:g} passes the float range")
+    return found, counts, resolved, float(max(hs[1]))
+
 
 def skeleton_analysis(
     model: ContactModel,
@@ -682,10 +791,17 @@ def skeleton_analysis(
     another 1) on its multiplier^depth boxes, with no sampling: ``rng_seed``
     is unused, and ``seeds >= multiplier**depth`` bounds the box count.
     Clusters are counted when the multiplier is above 1 and the gap is above
-    the rounding of the box centres.  Otherwise the full attractor cloud is
-    counted, and a section angle, which that route cannot honour, raises
-    ``ModelError`` before any point is iterated.  Given ``scales`` are
-    checked before any point is seeded.
+    the rounding of the box centres.  Otherwise the whole image is counted
+    (route ``"cloud"``), and a section angle, which that route cannot
+    honour, raises ``ModelError`` before any point is iterated.  A model
+    with an ``affine`` record (anosov) has it counted in closed form by
+    ``_affine_counts``, with no sampling: ``rng_seed`` and ``seeds`` are
+    unused but reported, the default scales are the dyadic ones down to the
+    image's largest half-width (never fewer than 1/2 and 1/4), and
+    ``resolved_scales`` counts the scales at or above it, with a ``note``
+    when some lie below.  Any other model has ``seeds`` iterated and their
+    cloud box-counted.  Given ``scales`` are checked before any point is
+    seeded.
     """
     if seeds < 1:
         raise ValueError("seeds must be positive")
@@ -696,7 +812,18 @@ def skeleton_analysis(
     chart, section = model.chart, model.section
     if section is None and theta0 is not None:
         raise ModelError("a section angle needs a model that declares a section; "
-                         "this model is measured through its full cloud")
+                         "this model is measured through its whole image")
+    if section is None and model.affine is not None:
+        _require_self_map(model, depth)
+        found, counts, resolved, top = _affine_counts(model, depth, scales or None)
+        note = None
+        if resolved < len(found):
+            note = (f"{len(found) - resolved} of {len(found)} scales are below {top:.3g}, the "
+                    f"largest half-width of the depth-{depth} image: they count the image, "
+                    "not the attractor")
+        box = _fit(found, counts)
+        return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds, "exact",
+                                resolved_scales=resolved, note=note)
     if section is None:
         sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
         box = box_counting_dimension(sample.points, scales or _DEFAULT_CLOUD_SCALES,

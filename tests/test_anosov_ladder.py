@@ -31,8 +31,8 @@ TINY_DET = ("d2 alone fails: |det D phi|, the product of the disk rates, "
 DESCENDS = "the residual is below tol 1e-9 and the collar margin positive"
 ROUNDING = ("the residual is absolute: rounding scaled by about e^(2G) at the "
             "roof G exceeds tol 1e-9")
-UNCHECKED = ("exit 0 with an estimate that nothing checks yet: at depth 2 the "
-             "counts may read the seed count, not the attractor (ROADMAP item 2)")
+EXACT = ("exit 0 with the exact estimate n + 1: the depth-2 image is counted in "
+         "closed form on at least two dyadic scales at or above its half-width")
 
 
 def _row(find, certify, descent, skeleton):
@@ -41,13 +41,13 @@ def _row(find, certify, descent, skeleton):
 
 # n -> command -> (exit code, reason)
 LADDER = {
-    3: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, UNCHECKED)),
-    4: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, UNCHECKED)),
-    5: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, UNCHECKED)),
-    6: _row((0, FOUND), (1, TINY_DET), (0, DESCENDS), (0, UNCHECKED)),
-    7: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, UNCHECKED)),
-    8: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, UNCHECKED)),
-    9: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, UNCHECKED)),
+    3: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, EXACT)),
+    4: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, EXACT)),
+    5: _row((0, FOUND), (0, CERTIFIED), (0, DESCENDS), (0, EXACT)),
+    6: _row((0, FOUND), (1, TINY_DET), (0, DESCENDS), (0, EXACT)),
+    7: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, EXACT)),
+    8: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, EXACT)),
+    9: _row((0, FOUND), (1, TINY_DET), (1, ROUNDING), (0, EXACT)),
     10: _row((3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED)),
     11: _row((3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED)),
     12: _row((3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED), (3, EXHAUSTED)),
@@ -94,8 +94,8 @@ def test_ladder_cell(n, command, tmp_path):
         assert (descent["max_residual"] >= descent["tol"]) == (code == 1)
         assert descent["transversality_margin"] > 0
     else:
-        # The estimate is reported, not yet checked against what the sample
-        # resolves; only its form is pinned here.
         skeleton = results["skeleton"]
         assert skeleton["route"] == "cloud"
-        assert np.isfinite(skeleton["estimate"])
+        assert skeleton["evidence"] == "exact"
+        assert abs(skeleton["estimate"] - (n + 1)) < 1e-9
+        assert skeleton["resolved_scales"] >= 2

@@ -186,6 +186,28 @@ class TestSkeleton:
         assert rep["results"]["skeleton"]["route"] == "cloud"
         assert abs(rep["results"]["skeleton"]["estimate"] - 3.0) < 0.3
 
+    def test_anosov_csv_iterates_once(self, tmp_path, monkeypatch):
+        # The estimate needs no cloud; --csv-out iterates one, as before.
+        depths = []
+        iterate = torus_builder._iterate
+
+        def counted(model, pts, depth):
+            depths.append(depth)
+            return iterate(model, pts, depth)
+
+        monkeypatch.setattr(torus_builder, "_iterate", counted)
+        argv = ["skeleton", "--model", "anosov", "--n", "2", "--depth", "3", "--seeds", "5000",
+                "--seed", "4"]
+        csv = tmp_path / "cloud.csv"
+        assert run(argv + ["--csv-out", str(csv), "--out", str(tmp_path / "r.json")]) == 0
+        assert depths == [3]
+        model, _ = cli._build_model(build_parser().parse_args(argv))
+        ref = tmp_path / "ref.csv"
+        torus_builder.export_cloud_csv(
+            torus_builder.iterate_attractor(model, 3, 5000, rng_seed=4).points,
+            list(model.chart.names), str(ref))
+        assert csv.read_bytes() == ref.read_bytes()
+
     def test_transverse_knot_rejected(self):
         assert run(["skeleton", "--model", "transverse-knot", "--depth", "2"]) == 2
 
@@ -574,7 +596,7 @@ class TestReportShape:
     @pytest.mark.parametrize("argv, evidence", [
         (["--model", "solenoid", "--depth", "3", "--seeds", "4000"], "exact"),
         (["--model", "jet-space", "--depth", "3", "--seeds", "4000"], "exact"),
-        (["--model", "anosov", "--n", "2", "--depth", "2", "--seeds", "1000"], "sampled"),
+        (["--model", "anosov", "--n", "2", "--depth", "2", "--seeds", "1000"], "exact"),
     ], ids=["solenoid", "jet-space", "anosov"])
     def test_skeleton_evidence(self, argv, evidence, tmp_path):
         out = tmp_path / "r.json"

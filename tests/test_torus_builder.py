@@ -2,6 +2,7 @@ import io
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from liouville_forge import contact_kernel, torus_builder
+from liouville_forge.cli import main
 from liouville_forge.contact_kernel import (
     _BLOCK_ROWS,
     EVIDENCE,
@@ -482,6 +484,109 @@ def _cat_map():
     return anosov_model(cert.matrix, cert)
 
 
+def _reference_counts(model, depth, scales):
+    """Box counts of the depth-d image of an affine model read straight off
+    its closed form, in Fractions with |rate|**depth taken whole: the open
+    interval (-h, h) meets ceil((end + h)/s) - floor((end - h)/s) cells of
+    the grid from -end, a circle of period P ceil(P/s)."""
+    chart, counts = model.chart, []
+    for s in map(Fraction, scales):
+        c = math.prod(math.ceil(Fraction(chart.coords[i].period) / s) for i in chart.periodic_idx)
+        for i, r in zip(chart.interval_idx, model.affine.rates):
+            end = Fraction(chart.coords[i].hi)
+            h = end * Fraction(abs(r)) ** depth
+            c *= math.ceil((end + h) / s) - math.floor((end - h) / s)
+        counts.append(c)
+    return counts
+
+
+class TestAffineCounts:
+    def test_cat_map_counts_equal_the_sampled_ones(self):
+        model = _cat_map()
+        scales = torus_builder._DEFAULT_CLOUD_SCALES
+        exact = skeleton_analysis(model, 4, 1, scales=scales)
+        sampled = box_counting_dimension(iterate_attractor(model, 4, 200_000).points, scales,
+                                         origin=model.chart.lows())
+        assert exact.box.counts == sampled.counts == (32, 128, 512, 2048)
+        assert exact.evidence == "exact" and exact.sample is None
+
+    @pytest.mark.parametrize("make", [_cat_map, lambda: _anosov_n3()], ids=["n2", "n3"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_sampled_counts_never_exceed_the_closed_form(self, make, depth):
+        model = make()
+        scales = (0.5, 0.3, 0.25, 0.125, 0.1, 0.0625)
+        exact = skeleton_analysis(model, depth, 1, scales=scales).box
+        sampled = box_counting_dimension(iterate_attractor(model, depth, 20_000).points,
+                                         scales, origin=model.chart.lows())
+        assert exact.counts == tuple(_reference_counts(model, depth, exact.scales))
+        assert all(s <= e for s, e in zip(sampled.counts, exact.counts))
+
+    def test_a_thin_image_on_a_grid_line_meets_two_cells(self):
+        # At depth 12 the half-width 0.146**12 = 9e-11 is below 1e-9 of each
+        # scale, and the image's centre 0 lies on a grid line from -1.
+        model = _cat_map()
+        for depth in (12, 10**9):
+            assert skeleton_analysis(model, depth, 1, scales=(0.5, 0.25)).box.counts == (8, 32)
+
+    @given(rate=st.floats(1e-3, 1.0), depth=st.integers(0, 60),
+           scales=st.lists(st.floats(1e-12, 2.0), min_size=2, max_size=4, unique=True),
+           bits=st.sampled_from((2, 64)))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_the_whole_power(self, rate, depth, scales, bits):
+        # Bounds of 2 bits are too loose to settle most counts: each then
+        # comes from the tightened bounds.
+        cat = _cat_map()
+        model = replace(cat, affine=cat.affine._replace(rates=(rate,)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(torus_builder, "_BOUND_BITS", bits)
+            got = skeleton_analysis(model, depth, 1, scales=scales).box
+        assert list(got.counts) == _reference_counts(model, depth, got.scales)
+
+    @pytest.mark.parametrize("x, d", [(Fraction(0.381966), 7), (Fraction(3, 4), 41),
+                                      (Fraction(1, 2), 100), (Fraction(1), 5)])
+    def test_power_bounds(self, x, d):
+        exact = x**d
+        for bits in (8, 64):
+            lo, hi = torus_builder._power_bounds(x, d, bits)
+            assert lo <= exact <= hi
+        whole = x.numerator.bit_length() * d + 1
+        assert torus_builder._power_bounds(x, d, whole) == (exact, exact)
+
+    def test_default_scales_stop_at_the_half_width(self):
+        # The benchmark's n = 3 input: its largest rate is 0.382.
+        cert = find_matrix(SpectrumRequest(n=3, mu=(1.0,), eps=0.4))
+        model = anosov_model(cert.matrix, cert)
+        got = skeleton_analysis(model, 3, 1)
+        half = max(abs(r) for r in model.affine.rates) ** 3
+        assert got.box.scales == tuple(2.0**-j for j in range(1, len(got.box.scales) + 1))
+        assert got.box.scales[-1] >= half > got.box.scales[-1] / 2
+        assert got.resolved_scales == len(got.box.scales) and got.note is None
+        assert abs(got.estimate - 4.0) < 1e-9
+        # At depth 1 only 1/2 is above the half-width 0.38: the floor keeps 1/4.
+        shallow = skeleton_analysis(model, 1, 1)
+        assert shallow.box.scales == (0.5, 0.25)
+        assert shallow.resolved_scales == 1 and "1 of 2 scales" in shallow.note
+        assert "note" not in skeleton_analysis(builtin_model("solenoid"), 2, 1000).to_dict()
+
+    def test_n9_scale_past_int64_exits_2(self, tmp_path):
+        mu = [f"{v:.3f}" for v in np.linspace(0.6, 1.8, 7)]
+        argv = ["skeleton", "--model", "anosov", "--n", "9", "--mu", *mu, "--eps", "0.5",
+                "--depth", "2", "--out", str(tmp_path / "r.json"), "--scales", "0.5"]
+        assert main(argv + [repr(2.0**-61)]) == 0
+        assert main(argv + [repr(2.0**-62)]) == 2
+
+    @pytest.mark.parametrize("rates, chart", [
+        ((1.5,), None),
+        ((0.0,), None),
+        ((0.5,), Chart((Coord.interval("y1", -1.0, 2.0), Coord.circle("x1"), Coord.circle("x2")))),
+    ], ids=["rate-above-1", "rate-0", "off-centre-chart"])
+    def test_affine_record_checked(self, rates, chart):
+        cat = _cat_map()
+        model = replace(cat, affine=cat.affine._replace(rates=rates), chart=chart or cat.chart)
+        with pytest.raises(ModelError):
+            skeleton_analysis(model, 2, 1)
+
+
 def _mod_reduce(chart, pts):
     """Chart.reduce's result written with np.mod: the period folds to 0.0."""
     out = pts.copy()
@@ -688,7 +793,7 @@ def test_chart_layout(make, periodic, interval):
     assert model.chart.periodic_idx == periodic
     assert model.chart.interval_idx == interval
     if model.section is None:
-        sample = skeleton_analysis(model, 1, 2000, rng_seed=0).sample
+        sample = iterate_attractor(model, 1, 2000, rng_seed=0)
     else:
         sample = section_cloud(model, 1, 2000, rng_seed=0)
     assert sample.chart is model.chart
@@ -951,7 +1056,9 @@ class TestSectionBoxes:
 
     def test_evidence(self, solenoid):
         assert skeleton_analysis(solenoid, 2, 1000).to_dict()["evidence"] == "exact"
-        assert skeleton_analysis(_cat_map(), 2, 1000).to_dict()["evidence"] == "sampled"
+        assert skeleton_analysis(_cat_map(), 2, 1000).to_dict()["evidence"] == "exact"
+        cloud_model = replace(solenoid, section=None)
+        assert skeleton_analysis(cloud_model, 2, 1000).to_dict()["evidence"] == "sampled"
         assert {"exact", "sampled"} <= set(EVIDENCE)
 
     def test_too_many_cells_refused(self, solenoid):
