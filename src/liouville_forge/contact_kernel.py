@@ -18,8 +18,11 @@ conformal factor off it.
 through ``pullback`` in row blocks of ``_BLOCK_ROWS``, so each block's
 temporaries stay in cache and only per-row results (margins, determinants,
 factors) are kept for the whole batch: memory is O(N d), and no ``(N, d, d)``
-Jacobian is held.  A block whose Jacobians are all equal takes one
-determinant, of the first, for every row.
+Jacobian is held.  A block whose Jacobians are one broadcast matrix (a
+``np.broadcast_to`` view, as the affine maps return them) takes one
+determinant, of that matrix, for every row; a batch of equal matrices held
+row by row takes one per row.  Reductions across a row's d coordinates run
+a column at a time and give the bits numpy's ``axis=1`` reductions give.
 """
 
 from __future__ import annotations
@@ -129,6 +132,71 @@ def halton(n: int, d: int, seed: int) -> np.ndarray:
     return out.T
 
 
+# -- row reductions -----------------------------------------------------------
+#
+# Reductions across the few coordinates of each row of an (N, d) array, one
+# whole-column ufunc per coordinate.  numpy's axis=1 reductions pay about
+# 18 ns a row whatever d is, several times this loop at d = 3.
+
+def _row_all(mask: np.ndarray) -> np.ndarray:
+    """``mask.all(axis=1)`` of an (N, d) boolean array."""
+    out = np.ones(len(mask), dtype=bool)
+    for col in mask.T:
+        out &= col
+    return out
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=1)`` of an (N, d) float array with
+    non-negative strides, bit for bit up to which NaN a row of several NaNs
+    returns.
+
+    numpy adds a column-major x (N > 1, row stride below a nonzero column
+    stride) a column at a time, in order from 0.0.  A row-major row it sums
+    pairwise: below 8 entries in order from 0.0, from 8 up by
+    ``_pairwise_sum``, then adds that to the identity 0.0, so a sum of -0.0
+    reads +0.0.
+    """
+    s0, s1 = x.strides
+    if x.shape[1] < 8 or (len(x) > 1 and 0 < s0 < s1):
+        out = np.zeros(len(x))
+        for col in x.T:
+            out += col
+        return out
+    out = _pairwise_sum(x)
+    out += 0.0
+    return out
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each row of 8 or more entries, a column at a
+    time: eight accumulators take entries k, k + 8, ..., combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the leftover
+    entries follow in order.  Past 128 entries (numpy's block) the row splits
+    at half its length rounded down to a multiple of 8; chart rows have 3 to
+    23 entries, far below that."""
+    d = x.shape[1]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
+    acc = x[:, :8].T.copy()
+    for i in range(8, d - d % 8, 8):
+        acc += x[:, i : i + 8].T
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in x[:, d - d % 8 :].T:
+        out += col
+    return out
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``np.max(x, axis=1)`` of an (N, d) float array, d >= 1; a row holding
+    NaN gives NaN, as there."""
+    out = x[:, 0].copy()
+    for col in x.T[1:]:
+        np.maximum(out, col, out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class Coord:
     """One chart coordinate: either an interval factor or a circle factor."""
@@ -222,21 +290,25 @@ class Chart:
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the boundary along interval coordinates (min over them).
 
-        Periodic coordinates impose no constraint.  Non-finite coordinates
-        yield -inf so they register as violations.
+        Periodic coordinates impose no constraint.  A row with a non-finite
+        coordinate yields -inf so it registers as a violation.
         """
         margins = np.full(len(pts), np.inf)
         for i in self.interval_idx:
             c = self.coords[i]
-            d = np.minimum(pts[:, i] - c.lo, c.hi - pts[:, i])
-            d = np.where(np.isfinite(pts[:, i]), d, -np.inf)
-            margins = np.minimum(margins, d)
-        bad = ~np.all(np.isfinite(pts), axis=1)
-        margins[bad] = -np.inf
+            np.minimum(margins, np.minimum(pts[:, i] - c.lo, c.hi - pts[:, i]), out=margins)
+        margins[~_row_all(np.isfinite(pts))] = -np.inf
         return margins
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.interior_margins(pts) >= -CONTAINS_TOL
+        """``interior_margins(pts) >= -CONTAINS_TOL``: finite rows within
+        ``CONTAINS_TOL`` of every interval, by the same subtractions."""
+        inside = _row_all(np.isfinite(pts))
+        for i in self.interval_idx:
+            c = self.coords[i]
+            inside &= pts[:, i] - c.lo >= -CONTAINS_TOL
+            inside &= c.hi - pts[:, i] >= -CONTAINS_TOL
+        return inside
 
     def normalized_radius(self, pts: np.ndarray) -> np.ndarray:
         """Sup-norm radius of the interval factors, rescaled so the boundary
@@ -300,7 +372,8 @@ class SmoothMap:
     ``forward``, ``jacobian`` and ``inverse`` receive (N, dim) float points.
     ``forward`` returns (N, dim) points and ``jacobian`` (N, dim, dim)
     Jacobians, which an affine map may return as a read-only
-    ``np.broadcast_to`` view of its one constant matrix; ``inverse`` returns
+    ``np.broadcast_to`` view of its one constant matrix (certification then
+    takes one determinant per row block, not one per row); ``inverse`` returns
     all B branches of the inverse as an (N, B, dim) array, in or out of the
     chart.
     """
@@ -444,8 +517,10 @@ def _proportionality(pb: np.ndarray, base: np.ndarray):
     num = np.einsum("ni,ni->n", pb, base)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = num / denom
-        resid = np.linalg.norm(pb - f[:, None] * base, axis=1)
-    scale = np.maximum(np.maximum(np.linalg.norm(pb, axis=1), np.sqrt(denom)), 1e-300)
+        # Row norms as np.linalg.norm(x, axis=1) computes them.
+        r = pb - f[:, None] * base
+        resid = np.sqrt(_row_sum(r * r))
+    scale = np.maximum(np.maximum(np.sqrt(_row_sum(pb * pb)), np.sqrt(denom)), 1e-300)
     return f, resid, scale
 
 
@@ -507,9 +582,12 @@ def _in_row_blocks(fn: Callable, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _determinants(jac: np.ndarray) -> np.ndarray:
-    """Determinants of (N, d, d) Jacobians.  When every Jacobian equals the
-    first, the one LAPACK call on the first, broadcast: the same bits."""
-    if (jac == jac[:1]).all():
+    """Determinants of (N, d, d) Jacobians.  A broadcast view of one matrix
+    (row stride 0, as ``_affine_map`` returns its Jacobian) takes one LAPACK
+    call, on its first matrix, broadcast to every row: the bits LAPACK gives
+    each row of the batch.  Any other batch, a materialised constant one
+    included, takes the batch call."""
+    if jac.strides[0] == 0:
         return np.broadcast_to(np.linalg.det(jac[:1]), len(jac))
     return np.linalg.det(jac)
 
@@ -537,14 +615,15 @@ def certify_contraction(
         """Per-row evidence: finite image, margin, determinant, f / resid /
         scale, and the in-chart inverse branch count of each finite image."""
         pb, q, jac = pullback(model.phi, model.codomain_alpha, x, codomain)
-        finite = np.all(np.isfinite(q), axis=1)
+        finite = _row_all(np.isfinite(q))
         branches = np.empty(0, dtype=np.intp)
         with np.errstate(all="ignore"):
             dets = _determinants(jac)
             if inverse is not None:
                 pre = inverse(q[finite])
-                inside = chart.contains(pre.reshape(-1, chart.dim)).reshape(pre.shape[:2])
-                branches = inside.sum(axis=1)
+                branches = np.zeros(len(pre), dtype=np.intp)
+                for k in range(pre.shape[1]):
+                    branches += chart.contains(pre[:, k])
         return (finite, codomain.interior_margins(q), dets, branches,
                 *_proportionality(pb, model.alpha(x)))
 

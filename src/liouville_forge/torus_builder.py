@@ -27,6 +27,7 @@ from .contact_kernel import (
     ModelError,
     _BLOCK_ROWS,
     _in_row_blocks,
+    _row_max,
     halton,
     model_conformal_factors,
     pullback,
@@ -243,7 +244,7 @@ def descent_check(
         g = model.G(q)
         s = ub[:, chart.dim] * g
         d = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
-        return (np.max(np.abs(d), axis=1),)
+        return (_row_max(np.abs(d)),)
 
     (row_max,) = _in_row_blocks(defect, halton(samples, chart.dim + 1, rng_seed))
     residual = float(np.max(row_max))

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import qmc
 
 import liouville_forge
-from liouville_forge import contact_kernel
+from liouville_forge import contact_kernel, torus_builder
 from liouville_forge.contact_kernel import (
+    CONTAINS_TOL,
     Chart,
     Coord,
     OneForm,
@@ -388,6 +390,152 @@ class TestRowBlocks:
         assert want == pytest.approx(0.5 * odd) and want < 0.25  # the odd row is the min
         assert cert.d2["min_abs_det"] == want
         assert cert.d2["pass"] == (want >= cert.tol)
+
+
+# Values on which float reductions differ: signed zeros, subnormals, the
+# smallest normal, infinities, NaN and magnitudes near 1e+-300.
+_NASTY = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0, -3.5,
+])
+_FLOATS = (_NASTY | st.floats() | st.floats(1e299, 1e301) | st.floats(-1e301, -1e299)
+           | st.floats(1e-301, 1e-299) | st.floats(-1e-299, -1e-301))
+
+
+def _rows(data, dtype, elements):
+    """An (N, d) array with d = 1..25 columns, row- or column-major."""
+    shape = (data.draw(st.integers(1, 6), "rows"), data.draw(st.integers(1, 25), "columns"))
+    x = data.draw(hnp.arrays(dtype, shape, elements=elements), "x")
+    return np.asfortranarray(x) if data.draw(st.booleans(), "column-major") else x
+
+
+def _assert_same_bits(got, want):
+    """Equal NaN positions, equal bits elsewhere: which NaN a row of several
+    NaNs returns depends on the order numpy's compiled loops add them in."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestRowReductions:
+    """The column loops give what numpy's axis=1 reductions give."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_row_sum_is_add_reduce_bit_for_bit(self, data):
+        x = _rows(data, np.float64, _FLOATS)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(contact_kernel._row_sum(x), np.add.reduce(x, axis=1))
+
+    @pytest.mark.parametrize("cols", [128, 129, 136, 300])
+    def test_row_sum_past_numpy_block(self, cols):
+        # Past 128 entries numpy's pairwise sum splits a row; chart rows
+        # never get there, but the split is kept bit for bit too.
+        rng = np.random.default_rng(cols)
+        x = rng.standard_normal((50, cols)) * 10.0 ** rng.integers(-8, 9, (50, cols))
+        _assert_same_bits(contact_kernel._row_sum(x), np.add.reduce(x, axis=1))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_row_all_is_all(self, data):
+        mask = _rows(data, bool, st.booleans())
+        np.testing.assert_array_equal(contact_kernel._row_all(mask), mask.all(axis=1))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_row_max_is_max(self, data):
+        x = _rows(data, np.float64, _FLOATS)
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(contact_kernel._row_max(x), np.max(x, axis=1))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_contains_is_margin_test(self, data):
+        bounds = []
+        for name in ("u", "v"):
+            lo = data.draw(st.sampled_from([0.0, -1.0]) | st.floats(-1e6, 1e6), f"{name} lo")
+            width = data.draw(st.sampled_from([1.0, 2.0]) | st.floats(1e-6, 1e6), f"{name} width")
+            bounds.append((lo, lo + width))
+        chart = Chart((Coord.circle("t", 2 * math.pi),
+                       *(Coord.interval(name, *b) for name, b in zip("uv", bounds))))
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+        def interval_values(lo, hi):
+            # Each end, and each end CONTAINS_TOL outside, one ulp either side.
+            edges = [e2 for e in (lo, hi, lo - CONTAINS_TOL, hi + CONTAINS_TOL)
+                     for e2 in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+            return st.sampled_from(edges) | st.floats(lo, hi) | non_finite
+
+        row = st.tuples(st.floats(0.0, 2 * math.pi) | non_finite,
+                        *(interval_values(*b) for b in bounds))
+        pts = np.array(data.draw(st.lists(row, min_size=1, max_size=30), "points"))
+        np.testing.assert_array_equal(chart.contains(pts),
+                                      chart.interior_margins(pts) >= -CONTAINS_TOL)
+
+    def test_contains_keeps_points_tol_outside(self):
+        # Ends at 0, so the subtractions give -CONTAINS_TOL exactly.
+        chart = Chart((Coord.circle("t", 1.0), Coord.interval("u", -1.0, 0.0),
+                       Coord.interval("v", 0.0, 1.0)))
+        tol, past = CONTAINS_TOL, math.nextafter(CONTAINS_TOL, math.inf)
+        pts = np.array([[0.5, tol, 0.5], [0.5, -0.5, -tol], [0.5, past, 0.5], [0.5, -0.5, -past]])
+        assert chart.contains(pts).tolist() == [True, True, False, False]
+
+
+# The bench's anosov n = 3 and 4 inputs, and the ladder's n = 5 and 9 ones:
+# charts of 9 and 17 coordinates take _row_sum's pairwise branch.
+_SWAP_MODELS = {
+    "anosov3": (3, (1.10,), 0.4, 7173),
+    "anosov4": (4, (1.21, 1.25), 0.4, 7197),
+    "anosov5": (5, (0.6, 1.2, 1.8), 0.5, 0),
+    "anosov9": (9, (0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8), 0.5, 0),
+}
+
+
+class TestColumnReductionsInCertify:
+    @pytest.mark.parametrize("name", ["solenoid", "jet", "knot", "knot_delta_01", "cat_model",
+                                      *_SWAP_MODELS])
+    def test_reports_equal_with_numpy_reductions(self, name, request, monkeypatch):
+        if name == "knot_delta_01":
+            model = builtin_model("transverse_knot", {"c": 0.1, "delta": 0.1})
+        elif name in _SWAP_MODELS:
+            n, mu, eps, seed = _SWAP_MODELS[name]
+            cert = find_matrix(SpectrumRequest(n=n, mu=mu, eps=eps, seed=seed))
+            model = anosov_model(cert.matrix, cert)
+        else:
+            model = request.getfixturevalue(name)
+
+        def outcome():
+            cert = certify_contraction(model, samples=3000, rng_seed=5).to_dict()
+            return json.dumps(cert, sort_keys=True), repr(_descent_outcome(model))
+
+        ours = outcome()
+        monkeypatch.setattr(contact_kernel, "_row_all", lambda m: m.all(axis=1))
+        monkeypatch.setattr(contact_kernel, "_row_sum", lambda x: np.add.reduce(x, axis=1))
+        monkeypatch.setattr(torus_builder, "_row_max", lambda x: np.max(x, axis=1))
+        monkeypatch.setattr(Chart, "contains",
+                            lambda self, p: self.interior_margins(p) >= -CONTAINS_TOL)
+        assert outcome() == ours
+
+
+class TestDeterminants:
+    def test_broadcast_jacobian_takes_one_call(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+        m = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, 0.0, 0.25]])
+        jac = np.broadcast_to(m, (1000, 3, 3))
+        one = contact_kernel._determinants(jac)
+        assert calls == [(1, 3, 3)]
+        # The same values held row by row take the batch call, with the same bits.
+        batch = contact_kernel._determinants(jac.copy())
+        assert calls == [(1, 3, 3), (1000, 3, 3)]
+        assert np.array_equal(one.view(np.int64), batch.view(np.int64))
+
+    def test_nan_jacobian_gives_nan(self):
+        jac = np.broadcast_to(np.full((3, 3), np.nan), (10, 3, 3))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(contact_kernel._determinants(jac)).all()
+            assert np.isnan(contact_kernel._determinants(jac.copy())).all()
 
 
 class TestBuiltinModels:
