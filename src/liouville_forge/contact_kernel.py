@@ -287,17 +287,19 @@ class Chart:
             out[:, i] = col
         return out
 
-    def interior_margins(self, pts: np.ndarray) -> np.ndarray:
+    def interior_margins(self, pts: np.ndarray, finite: np.ndarray | None = None) -> np.ndarray:
         """Distance to the boundary along interval coordinates (min over them).
 
         Periodic coordinates impose no constraint.  A row with a non-finite
-        coordinate yields -inf so it registers as a violation.
+        coordinate yields -inf so it registers as a violation; ``finite``,
+        when given, is that row mask, ``_row_all(np.isfinite(pts))``, already
+        computed by the caller.
         """
         margins = np.full(len(pts), np.inf)
         for i in self.interval_idx:
             c = self.coords[i]
             np.minimum(margins, np.minimum(pts[:, i] - c.lo, c.hi - pts[:, i]), out=margins)
-        margins[~_row_all(np.isfinite(pts))] = -np.inf
+        margins[~(_row_all(np.isfinite(pts)) if finite is None else finite)] = -np.inf
         return margins
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -624,7 +626,7 @@ def certify_contraction(
                 branches = np.zeros(len(pre), dtype=np.intp)
                 for k in range(pre.shape[1]):
                     branches += chart.contains(pre[:, k])
-        return (finite, codomain.interior_margins(q), dets, branches,
+        return (finite, codomain.interior_margins(q, finite), dets, branches,
                 *_proportionality(pb, model.alpha(x)))
 
     finite_img, margins, dets, branches, f, resid, scale = _in_row_blocks(block, pts)
@@ -877,7 +879,10 @@ def _left_eigenvector(poly: IntPolynomial, ms: list, interval: tuple, lam: float
     ``interval``: the largest row of b^(n-1) adj(a/b I - A) = sum_k
     a^(n-k) b^(k-1) M_k in exact integers at the midpoint a/b of the interval
     refined to width |lam| 2^-60, divided by its largest |entry| in
-    correctly rounded int/int division."""
+    correctly rounded int/int division.  ``lam`` is not passed as a guess:
+    it is the midpoint of an interval already narrower than 1e-12, no
+    nearer the root than that, so a gallop from it would take about twice
+    the 20 or so sign tests of bisection."""
     lo, hi = refine_root(poly, tuple(map(Fraction, interval)), Fraction(abs(lam)) / 2**60)
     mid = (lo + hi) / 2
     a, b, n = mid.numerator, mid.denominator, len(ms)

@@ -5,13 +5,15 @@ companion matrices and their polynomials in closed form, the trace
 recursion for p(x) and adj(xI - A), determinants (fraction-free
 elimination), the exact sign of a polynomial at a rational point (integer
 Horner), root isolation by sign alternation around supplied guesses or by
-Sturm sequences, and bisection refinement.  A guess only chooses where to
-evaluate; every verdict rests on exact integer signs, so the spectrum
-certificates built on top of this module are bit-trustworthy.
+Sturm sequences, and refinement to the interval bisection would end on,
+located directly from a float guess of the root.  A guess only chooses
+where to evaluate; every verdict rests on exact integer signs, so the
+spectrum certificates built on top of this module are bit-trustworthy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,7 +41,10 @@ class SquareFreeViolation(Exception):
 
 
 class NotIsolating(Exception):
-    """Interval endpoints fail the sign conditions needed for bisection."""
+    """Interval endpoints fail the sign conditions needed for refinement:
+    no sign change across the interval, or a degenerate interval [a, a]
+    whose point is not a root.  ``refine_root`` locates bisection's final
+    cell directly, so it needs the one sign change bisection would follow."""
 
 
 @dataclass(frozen=True)
@@ -110,14 +115,16 @@ class RootIsolation:
     count_real: int
 
 
-def companion_matrix(k: Sequence[int]) -> IntMatrix:
+def companion_matrix(k: Sequence[int] | IntPolynomial) -> IntMatrix:
     """Unit-determinant companion-form matrix for an integer tuple.
 
     Ones on the subdiagonal; last column ((-1)^(n+1), (-1)^n k_1,
     (-1)^(n-1) k_2, ..., k_{n-1}), minus the low coefficients of
     ``companion_poly(k)``, its characteristic polynomial; zeros elsewhere.
+    Given a polynomial instead of k (``companion_poly(k)`` already in hand),
+    the matrix is read off its coefficients.
     """
-    c = companion_poly(k).coeffs
+    c = (k if isinstance(k, IntPolynomial) else companion_poly(k)).coeffs
     n = len(c) - 1
     return IntMatrix.from_rows([int(j == i - 1) for j in range(n - 1)] + [-c[i]] for i in range(n))
 
@@ -380,13 +387,24 @@ def refine_root(
     P: IntPolynomial,
     interval: tuple[Fraction, Fraction],
     tol: float | Fraction,
+    guess: float | Fraction | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of a simple root to width below ``tol``.
 
-    Pure sign bisection on the exact sign test ``sign_at``; an exactly-hit
-    root returns a degenerate [r, r] interval.  The endpoints are kept as
-    integer numerators lo/d and hi/d over one denominator d that doubles
-    with each halving, so no step pays for a gcd.
+    The result is that of sign bisection on the exact sign test
+    ``sign_at``, found without walking its path.  Bisection halves [a, b]
+    k times, where k, the least k with (b - a) / 2^k < tol, depends only on
+    the width and ``tol``; it ends on the level-k cell
+    [a + j w, a + (j + 1) w], w = (b - a) / 2^k, that holds the root, or
+    returns [r, r] for a root r on a grid point a + j w, at the first level
+    that has r as a midpoint.  An isolating interval has one such cell (or
+    grid root), so it is found directly: the cell that holds the float
+    ``guess`` has its ends tested, and when the sign change is not between
+    them the search gallops outward over grid indices, then binary-searches
+    between the last two.  Without a guess, or with one outside [a, b] or
+    not finite, the binary search runs over the whole grid and evaluates
+    bisection's own midpoints.  Grid points are integer numerators over
+    one denominator, so no step pays for a gcd.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     tol = Fraction(tol)
@@ -406,14 +424,46 @@ def refine_root(
         return (b, b)
     if sa == sb:
         raise NotIsolating("no sign change across the interval")
-    while (hi - lo) * tol.denominator >= tol.numerator * d:
-        mid = lo + hi
-        lo, hi, d = 2 * lo, 2 * hi, 2 * d
-        sm = sign_at(P, mid, d)
-        if sm == 0:
-            return (Fraction(mid, d), Fraction(mid, d))
-        if sm == sa:
-            lo = mid
+    # k is the least k >= 0 with width < num * 2^k, both over the denominator d.
+    width, num = (hi - lo) * tol.denominator, tol.numerator * d
+    if width < num:
+        return (a, b)
+    k = width.bit_length() - num.bit_length()
+    if num << k <= width:
+        k += 1
+    cells, base, step, den = 1 << k, lo << k, hi - lo, d << k
+
+    def sign(j: int) -> int:
+        return sa if j == 0 else sb if j == cells else sign_at(P, base + j * step, den)
+
+    def point(j: int) -> Fraction:
+        return Fraction(base + j * step, den)
+
+    left, right = 0, cells
+    g = None if guess is None or not math.isfinite(guess) else Fraction(guess)
+    if g is not None and a <= g <= b:
+        near = (g.numerator * den - base * g.denominator) // (step * g.denominator)
+        s_near = sign(near)
+        if s_near == 0:
+            return (point(near), point(near))
+        # Gallop away from the guess's cell end until the sign changes.
+        way, gap = (1 if s_near == sa else -1), 1
+        while True:
+            far = min(max(near + way * gap, 0), cells)
+            s = sign(far)
+            if s != s_near:
+                break
+            near, gap = far, 2 * gap
+        if s == 0:
+            return (point(far), point(far))
+        left, right = sorted((near, far))
+    while right - left > 1:
+        mid = (left + right) // 2
+        s = sign(mid)
+        if s == 0:
+            return (point(mid), point(mid))
+        if s == sa:
+            left = mid
         else:
-            hi = mid
-    return (Fraction(lo, d), Fraction(hi, d))
+            right = mid
+    return (point(left), point(right))

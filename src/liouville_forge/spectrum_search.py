@@ -11,7 +11,10 @@ companion matrix of (k1, k') in closed form (``exactlin.companion_poly``):
 its float roots only say where to evaluate, and an exact sign alternation
 (``exactlin.alternation_isolate``) proves the n simple real roots.  The
 magnitude conditions are decided on those intervals, and bisection runs
-only where an interval straddles a bound.
+only where an interval straddles a bound, and once on each interval of an
+accepted certificate.  Even there it is not walked: ``exactlin.refine_root``
+tests the cell of bisection's final grid that holds the float root, and a
+few more grid points when the root is not in it, for the same result.
 
 ``ergodic_scan``, ``newton_refine`` and ``solve_tail`` are earlier float
 stages that ``find_matrix`` no longer calls; they stay importable until the
@@ -504,11 +507,13 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
 
 
 def _certificate_from_matrix(
-    A: IntMatrix, poly: IntPolynomial, mu: Sequence[float], eps: float | None,
+    A: IntMatrix | None, poly: IntPolynomial, mu: Sequence[float], eps: float | None,
     sturm_fallback: bool = False,
 ) -> SpectrumCertificate:
     """Exact verification pass of A, whose characteristic polynomial is the
-    unit-determinant ``poly``; raises ``_Rejected`` with its reason.
+    unit-determinant ``poly``; raises ``_Rejected`` with its reason.  A of
+    None stands for the companion matrix of ``poly``, built only once the
+    certificate is accepted.
 
     Reads k off ``poly`` and proves its n simple real roots by sign
     alternation around its float roots.  With
@@ -518,9 +523,12 @@ def _certificate_from_matrix(
     middle roles.  Each magnitude condition is decided on the isolating
     interval where it can be; only an interval that straddles its bound is
     refined first.  Middles are checked before the tail, and an accepted
-    certificate carries every interval refined below ``_ROOT_TOL``.
+    certificate carries every interval refined below ``_ROOT_TOL``.  An
+    alternation interval is refined from its float root: both are sorted,
+    so root i lies in interval i, and ``refine_root`` goes straight to the
+    cell bisection would end on.
     """
-    n = A.n
+    n = poly.degree
     k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
     guesses = _float_roots(poly)
     iso = None if guesses is None else alternation_isolate(poly, guesses)
@@ -557,12 +565,12 @@ def _certificate_from_matrix(
                 raise _Rejected(reason)
         for (reason, i, t, bound, above), verdict in zip(checks, verdicts):
             if verdict is None:
-                ivs[i] = refine_root(poly, ivs[i], _ROOT_TOL)
+                ivs[i] = refine_root(poly, ivs[i], _ROOT_TOL, guesses[i])
                 if not _verdict(ivs[i], t, bound, above):
                     raise _Rejected(reason)
         conditions = {"middles_within_eps": True, "tail_magnitudes": True}
 
-    refined = [refine_root(poly, iv, _ROOT_TOL) for iv in ivs]
+    refined = [refine_root(poly, iv, _ROOT_TOL, g) for iv, g in zip(ivs, guesses)]
     mids = [float((a + b) / 2) for a, b in refined]
     order = middle + [large, small]
     roots = tuple(mids[i] for i in order)
@@ -590,7 +598,7 @@ def _certificate_from_matrix(
     residuals["vieta_max"] = max(vieta)
 
     return SpectrumCertificate(
-        matrix=A,
+        matrix=companion_matrix(poly) if A is None else A,
         k=k_sys,
         n=n,
         eps=eps,
@@ -635,7 +643,8 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
     k1 runs through ``_k1_floor`` * 2^i up to ``request.k1_max``.  Each k1
     is rounded once, k' = rint(x + k1*sigma), and ``_certificate_from_matrix``
     alone accepts or rejects the polynomial of (k1,) + k', which
-    ``companion_poly`` writes down without the trace recursion.
+    ``companion_poly`` writes down without the trace recursion; only the
+    accepted one has its companion matrix built.
     ``SearchExhausted`` ends the search past ``k1_max``, or before a
     rounding whose k1*max|sigma| reaches 2**50.  The certificate's ``search``
     holds the counters.
@@ -660,9 +669,7 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
         k = tuple(reversed((k1, *(int(v) for v in kprime))))
         counters.exact_checks += 1
         try:
-            cert = _certificate_from_matrix(
-                companion_matrix(k), companion_poly(k), request.mu, request.eps
-            )
+            cert = _certificate_from_matrix(None, companion_poly(k), request.mu, request.eps)
         except _Rejected as exc:
             counters.rejections[exc.args[0]] += 1
         else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -578,7 +579,11 @@ def suggested_section_gap(model: ContactModel, depth: int) -> float:
 
 def _sorted_scales(scales: Sequence[float]) -> list[float]:
     """``scales`` as floats from coarsest to finest; raises ``ValueError``
-    for fewer than two, or for a repeated, non-finite or non-positive one."""
+    for fewer than two, for a repeated, non-finite or non-positive one, for
+    one below 1/DBL_MAX (its log(1 / scale) overflows), and for scales so
+    close that ``_fit``'s line through their log(1 / scale) values is
+    undetermined (``np.polyfit`` finds its system rank-deficient,
+    as it does for 0.1 and 0.1000000000000001)."""
     scales = sorted((float(s) for s in scales), reverse=True)
     if len(scales) < 2:
         raise ValueError("need at least two scales")
@@ -588,7 +593,22 @@ def _sorted_scales(scales: Sequence[float]) -> list[float]:
         raise ValueError("scales must be positive")
     if len(set(scales)) < len(scales):
         raise ValueError("scales must be distinct")
+    with np.errstate(over="ignore"):
+        xs = _log_inverse(scales)
+    if not np.isfinite(xs).all():
+        raise ValueError("scales must be at least 1/DBL_MAX: log(1/scale) is not finite")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.polyfit(xs, xs, 1)  # the rank test depends on xs alone
+    if caught:
+        raise ValueError("scales are too close together: no line can be fitted "
+                         "through their log(1/scale) values")
     return scales
+
+
+def _log_inverse(scales: list[float]) -> np.ndarray:
+    """log(1 / scale), the abscissae of the box-counting fit."""
+    return np.log(1.0 / np.asarray(scales))
 
 
 def box_counting_dimension(
@@ -627,7 +647,7 @@ def box_counting_dimension(
 
 def _fit(scales: list[float], counts: list[int]) -> BoxCountResult:
     """The least-squares line through log count against log(1 / scale)."""
-    xs = np.log(1.0 / np.asarray(scales))
+    xs = _log_inverse(scales)
     ys = np.log(np.asarray(counts, float))
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = slope * xs + intercept

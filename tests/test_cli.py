@@ -551,6 +551,17 @@ class TestParser:
                     "--scales", "0.3", "-1e-1"]) == 2
         assert capsys.readouterr().err.startswith("error: scales must be positive")
 
+    @pytest.mark.parametrize("scales", [["0.1000000000000001", "0.1"],
+                                        ["1.0000000000000002e-12", "1e-12"]])
+    def test_scales_too_close_to_fit_are_refused(self, scales, tmp_path, capsys):
+        # np.polyfit's RankWarning once went by, and the first pair reported
+        # the estimate 2.4515 with r2 = 1.
+        out = tmp_path / "r.json"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
+                    "--scales", *scales, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: scales are too close together")
+        assert not out.exists()
+
 
 class TestReportShape:
     def test_sorted_keys_and_metadata(self, tmp_path):

@@ -830,3 +830,15 @@ class TestChart:
         m = ch.interior_margins(pts)
         assert m[0] == pytest.approx(0.5)
         assert m[1] == pytest.approx(-1.0)
+
+    def test_margins_take_the_callers_finite_mask(self):
+        # The mask certify computes once gives the same bits as the one
+        # interior_margins computes itself; a non-finite row still gives -inf.
+        ch = Chart((Coord.circle("t", 2.0), Coord.interval("u", -1.0, 1.0),
+                    Coord.interval("v", 0.0, 4.0)))
+        pts = np.array([[5.0, 0.5, 1.0], [math.nan, 0.0, 2.0], [0.0, math.inf, 2.0],
+                        [1.0, -0.25, 3.5], [0.0, 1e308, -1e308]])
+        finite = np.isfinite(pts).all(axis=1)
+        got = ch.interior_margins(pts, finite)
+        np.testing.assert_array_equal(got, ch.interior_margins(pts))
+        assert got[1] == got[2] == -math.inf and np.isfinite(got[[0, 3, 4]]).all()

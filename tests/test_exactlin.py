@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from liouville_forge import exactlin
 from liouville_forge.exactlin import (
     IntMatrix,
     IntPolynomial,
@@ -96,6 +97,7 @@ class TestCompanionMatrix:
     def test_companion_poly_is_char_poly(self, k):
         # The closed form against the trace recursion at n = 2..12.
         assert companion_poly(k) == char_poly(companion_matrix(k))
+        assert companion_matrix(companion_poly(k)) == companion_matrix(k)
 
 
 class TestCharPoly:
@@ -304,16 +306,6 @@ class TestSignAt:
         assert sign_at(p, -7, 3) == -1
 
 
-class TestRefineRootSignTest:
-    @given(_small_polys, st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
-    @settings(max_examples=40, deadline=None)
-    def test_same_intervals_as_rational_bisection(self, p, tol):
-        for iv in sturm_isolate(p).intervals:
-            if p(iv[0]) * p(iv[1]) >= 0:
-                continue  # a root at an endpoint, or one of even multiplicity
-            assert refine_root(p, iv, tol) == _reference_refine(p, iv, tol)
-
-
 @st.composite
 def _rational_roots(draw):
     """Monic integer p(y) = L^n q(y/L), q = prod (x - r_i) for distinct
@@ -334,6 +326,129 @@ def _rational_roots(draw):
         near = min(gaps[max(i - 1, 0): i + 1], default=1)
         guesses.append(float(r) + draw(st.floats(-0.2, 0.2)) * float(near))
     return IntPolynomial(tuple(coeffs)), guesses
+
+
+def _counted_sign_at(monkeypatch):
+    """Patch ``exactlin.sign_at`` to record each point a/b it is asked for."""
+    points = []
+
+    def counted(P, a, b):
+        points.append(Fraction(a, b))
+        return sign_at(P, a, b)
+
+    monkeypatch.setattr(exactlin, "sign_at", counted)
+    return points
+
+
+def _guesses(draw, p, iv, tol):
+    """No guess, the final cell's midpoint, points off by many cells on
+    either side, points outside the interval, and non-finite floats."""
+    lo, hi = _reference_refine(p, iv, tol)
+    width = max(hi - lo, tol / 2)
+    offset = draw(st.integers(-(2**40), 2**40))
+    return [None, float((lo + hi) / 2), (lo + hi) / 2 + offset * width,
+            float(lo + offset * width), float(iv[0]) - 1.0, float(iv[1]) + 1.0,
+            math.nan, math.inf, -math.inf]
+
+
+class TestRefineRootSignTest:
+    @given(_small_polys, st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_intervals_as_rational_bisection(self, p, tol, data):
+        for iv in sturm_isolate(p).intervals:
+            if p(iv[0]) * p(iv[1]) >= 0:
+                continue  # a root at an endpoint, or one of even multiplicity
+            want = _reference_refine(p, iv, tol)
+            for guess in _guesses(data.draw, p, iv, tol):
+                assert refine_root(p, iv, tol, guess) == want, guess
+
+    def test_without_a_guess_it_evaluates_bisections_midpoints(self, monkeypatch):
+        p = char_poly(companion_matrix((5, 5)))
+        iv = sturm_isolate(p).intervals[0]
+        tol = Fraction(1, 10**12)
+        points = _counted_sign_at(monkeypatch)
+        got = refine_root(p, iv, tol)
+        a, b = iv
+        mids = []
+        while b - a >= tol:
+            m = (a + b) / 2
+            mids.append(m)
+            a, b = (m, b) if (p(m) > 0) == (p(a) > 0) else (a, m)
+        assert got == (a, b)
+        assert points == [iv[0], iv[1], *mids]
+
+    @pytest.mark.parametrize("k", [(3,), (5, 5), (4, 4), (5, -20, 6), (1, -12, 2)])
+    def test_eigenvector_tolerance_below_float_resolution(self, k, monkeypatch):
+        # The width |lam| 2^-60 of _left_eigenvector from a wide isolating
+        # interval: the float root lies a few hundred cells from the root.
+        p = char_poly(companion_matrix(k))
+        iso = sturm_isolate(p)
+        assert iso.count_real == p.degree
+        for iv, lam in zip(iso.intervals, sorted(np.roots(p.coeffs[::-1]).real)):
+            tol = Fraction(abs(float(lam))) / 2**60
+            want = _reference_refine(p, iv, tol)
+            points = _counted_sign_at(monkeypatch)
+            assert refine_root(p, iv, tol, float(lam)) == want
+            assert len(points) <= 30 < 60 <= len(_bisection_levels(iv, tol))
+            assert refine_root(p, iv, tol) == want
+
+    @pytest.mark.parametrize("iv", [(0, 2), (0, 4), (-1, 3), (-3, 5), (-7, 9),
+                                    (Fraction(1, 2), Fraction(3, 2))])
+    @pytest.mark.parametrize("guess", [None, 1.0, 0.9999, 1.5, -0.5, 2.75, math.nan,
+                                       1 + 1.5 * 2**-20, 1 - 1.5 * 2**-20])
+    def test_integer_root_on_a_grid_point(self, iv, guess):
+        # (x - 1)(x + 9)(x - 11): 1 is the midpoint of each interval or of
+        # one of its halves, so bisection returns [1, 1].  The final cells
+        # are 2^-20 wide, so the last two guesses put the root one cell
+        # from the guess's cell: the gallop's first step lands on it.
+        p = IntPolynomial((99, -97, -3, 1))
+        iv = tuple(map(Fraction, iv))
+        tol = Fraction(1, 10**6)
+        want = (Fraction(1), Fraction(1))
+        assert refine_root(p, iv, tol, guess) == want == _reference_refine(p, iv, tol)
+
+    def test_no_halving_returns_the_interval(self, monkeypatch):
+        p = IntPolynomial((1, -3, 1))
+        iv = (Fraction(2), Fraction(3))
+        points = _counted_sign_at(monkeypatch)
+        assert refine_root(p, iv, 2, 2.6) == iv == _reference_refine(p, iv, 2)
+        assert points == [2, 3]
+        # A width equal to tol still halves once, as the loop did.
+        assert refine_root(p, iv, 1, 2.6) == (Fraction(5, 2), 3) == _reference_refine(p, iv, 1)
+
+    @pytest.mark.parametrize("guess", [None, 5.5, 2.6, math.nan])
+    def test_not_isolating_whatever_the_guess(self, guess):
+        p = IntPolynomial((1, -3, 1))
+        with pytest.raises(NotIsolating):
+            refine_root(p, (Fraction(5), Fraction(6)), 1e-6, guess)
+        with pytest.raises(NotIsolating):
+            refine_root(p, (Fraction(5), Fraction(5)), 1e-6, guess)
+        with pytest.raises(NotIsolating):  # two roots: no sign change across
+            refine_root(p, (Fraction(0), Fraction(3)), 1e-6, guess)
+
+    @given(_rational_roots(), st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
+    @settings(max_examples=40, deadline=None)
+    def test_a_guess_in_the_final_cell_costs_four_sign_tests(self, drawn, tol):
+        p, guesses = drawn
+        iso = alternation_isolate(p, guesses)
+        if iso is None:
+            return
+        for iv in iso.intervals:
+            lo, hi = _reference_refine(p, iv, tol)
+            with pytest.MonkeyPatch.context() as patch:
+                points = _counted_sign_at(patch)
+                assert refine_root(p, iv, tol, (lo + hi) / 2) == (lo, hi)
+            assert len(points) <= 4
+
+
+def _bisection_levels(iv, tol):
+    """The widths bisection halves through from ``iv`` down to below ``tol``."""
+    width, levels = iv[1] - iv[0], []
+    while width >= tol:
+        levels.append(width)
+        width /= 2
+    return levels
 
 
 class TestAlternationIsolate:

@@ -478,6 +478,21 @@ class TestFindMatrix:
         floor = search.k1_tried[0]
         assert search.k1_tried == [floor * 2**i for i in range(len(search.k1_tried))]
 
+    def test_only_the_accepted_candidate_builds_its_matrix(self, monkeypatch):
+        req = SpectrumRequest(n=6, mu=(-1.9612, -1.1598, 1.48, 1.8913), eps=0.5, seed=628993)
+        built = []
+
+        def counted(k):
+            built.append(k)
+            return exactlin.companion_matrix(k)
+
+        monkeypatch.setattr(spectrum_search, "companion_matrix", counted)
+        cert = find_matrix(req)
+        assert cert.search.exact_checks > 1
+        # The certificate's k holds the companion tuple in reverse.
+        assert built == [exactlin.companion_poly(cert.k[::-1])]
+        assert cert.matrix == exactlin.companion_matrix(cert.k[::-1])
+
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_high_dimensions_find(self, n):
         # The inputs of the ROADMAP baseline table: all ten seeds certify.
