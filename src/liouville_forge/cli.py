@@ -192,10 +192,7 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             csv_points = sample.points[:, chart.interval_idx]
             csv_names = [chart.names[i] for i in chart.interval_idx]
     elif args.csv_out:
-        sample = analysis.sample
-        if sample is None:
-            sample = iterate_attractor(model, args.depth, args.seeds, rng_seed=args.seed)
-        csv_points = sample.points
+        csv_points = iterate_attractor(model, args.depth, args.seeds, rng_seed=args.seed).points
         csv_names = list(chart.names)
 
     if args.csv_out:

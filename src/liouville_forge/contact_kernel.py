@@ -22,7 +22,9 @@ Jacobian is held.  A block whose Jacobians are one broadcast matrix (a
 ``np.broadcast_to`` view, as the affine maps return them) takes one
 determinant, of that matrix, for every row; a batch of equal matrices held
 row by row takes one per row.  Reductions across a row's d coordinates run
-a column at a time and give the bits numpy's ``axis=1`` reductions give.
+a column at a time and give the bits numpy's ``axis=1`` reductions give;
+a sum across rows of 8 or more coordinates (anosov n >= 5) is numpy's own
+reduce.
 """
 
 from __future__ import annotations
@@ -147,43 +149,17 @@ def _row_all(mask: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(x, axis=1)`` of an (N, d) float array with
-    non-negative strides, bit for bit up to which NaN a row of several NaNs
-    returns.
+    """``np.add.reduce(x, axis=1)`` of an (N, d) float array, bit for bit up
+    to which NaN a row of several NaNs returns.
 
-    numpy adds a column-major x (N > 1, row stride below a nonzero column
-    stride) a column at a time, in order from 0.0.  A row-major row it sums
-    pairwise: below 8 entries in order from 0.0, from 8 up by
-    ``_pairwise_sum``, then adds that to the identity 0.0, so a sum of -0.0
-    reads +0.0.
+    Below 8 coordinates numpy adds a row in order from 0.0, whatever the
+    layout, and so does the column loop.  Rows of 8 or more coordinates
+    (anosov n >= 5) go to numpy's own reduce, which sums them pairwise.
     """
-    s0, s1 = x.strides
-    if x.shape[1] < 8 or (len(x) > 1 and 0 < s0 < s1):
-        out = np.zeros(len(x))
-        for col in x.T:
-            out += col
-        return out
-    out = _pairwise_sum(x)
-    out += 0.0
-    return out
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of each row of 8 or more entries, a column at a
-    time: eight accumulators take entries k, k + 8, ..., combine as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the leftover
-    entries follow in order.  Past 128 entries (numpy's block) the row splits
-    at half its length rounded down to a multiple of 8; chart rows have 3 to
-    23 entries, far below that."""
-    d = x.shape[1]
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
-    acc = x[:, :8].T.copy()
-    for i in range(8, d - d % 8, 8):
-        acc += x[:, i : i + 8].T
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for col in x[:, d - d % 8 :].T:
+    if x.shape[1] >= 8:
+        return np.add.reduce(x, axis=1)
+    out = np.zeros(len(x))
+    for col in x.T:
         out += col
     return out
 

@@ -24,7 +24,7 @@ benchmark that wraps them is refreshed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -206,10 +206,6 @@ class SpectrumCertificate:
     conditions: dict[str, bool] = field(default_factory=dict)
     residuals: dict[str, float] = field(default_factory=dict)
     search: SearchCounters | None = field(default=None, compare=False)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.conditions.values()) if self.conditions else True
 
     def to_dict(self) -> dict:
         return {
@@ -506,45 +502,26 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
             math.nextafter(fhi, math.inf) if Fraction(fhi) < hi else fhi)
 
 
-def _certificate_from_matrix(
-    A: IntMatrix | None, poly: IntPolynomial, mu: Sequence[float], eps: float | None,
-    sturm_fallback: bool = False,
-) -> SpectrumCertificate:
-    """Exact verification pass of A, whose characteristic polynomial is the
-    unit-determinant ``poly``; raises ``_Rejected`` with its reason.  A of
-    None stands for the companion matrix of ``poly``, built only once the
-    certificate is accepted.
+def _certificate_fields(
+    poly: IntPolynomial, ivs: Sequence[tuple[Fraction, Fraction]], guesses: Sequence[float],
+    mu: Sequence[float], eps: float | None,
+) -> dict:
+    """k, n, roots, root_intervals, conditions and residuals of a
+    certificate for the unit-determinant ``poly``, whose caller has proved
+    its n simple real roots: ``ivs`` isolates them in increasing order and
+    ``guesses`` holds one point near each, in the same order.  Raises
+    ``_Rejected`` with its reason.
 
-    Reads k off ``poly`` and proves its n simple real roots by sign
-    alternation around its float roots.  With
-    ``sturm_fallback``, a polynomial whose signs do not alternate is
-    isolated by Sturm sequences instead, so a refusal still carries a proof.
-    The float roots (or the refined Sturm roots) pick the small, large and
-    middle roles.  Each magnitude condition is decided on the isolating
-    interval where it can be; only an interval that straddles its bound is
-    refined first.  Middles are checked before the tail, and an accepted
-    certificate carries every interval refined below ``_ROOT_TOL``.  An
-    alternation interval is refined from its float root: both are sorted,
-    so root i lies in interval i, and ``refine_root`` goes straight to the
-    cell bisection would end on.
+    The guesses pick the small, large and middle roles.  Each magnitude
+    condition is decided on the isolating interval where it can be; only an
+    interval that straddles its bound is refined first.  Middles are checked
+    before the tail, and an accepted certificate carries every interval
+    refined below ``_ROOT_TOL``.  Interval i is refined from guess i:
+    ``refine_root`` goes straight to the cell bisection would end on.
     """
     n = poly.degree
     k_sys = tuple((-1) ** i * poly.coeffs[n - i] for i in range(1, n))
-    guesses = _float_roots(poly)
-    iso = None if guesses is None else alternation_isolate(poly, guesses)
-    if iso is not None:
-        ivs = list(iso.intervals)
-    elif sturm_fallback:
-        try:
-            iso = sturm_isolate(poly, require_simple=True)
-        except SquareFreeViolation:
-            raise _Rejected("not_real") from None
-        if iso.count_real != n:
-            raise _Rejected("not_real")
-        ivs = [refine_root(poly, iv, _ROOT_TOL) for iv in iso.intervals]
-        guesses = [float((a + b) / 2) for a, b in ivs]
-    else:
-        raise _Rejected("not_real")
+    ivs = list(ivs)
 
     small = min(range(n), key=lambda i: abs(guesses[i]))
     large = max(range(n), key=lambda i: abs(guesses[i]))
@@ -597,17 +574,8 @@ def _certificate_from_matrix(
     vieta.append(abs(full_sigma.value(n) - 1.0))
     residuals["vieta_max"] = max(vieta)
 
-    return SpectrumCertificate(
-        matrix=companion_matrix(poly) if A is None else A,
-        k=k_sys,
-        n=n,
-        eps=eps,
-        mu=tuple(float(v) for v in mu),
-        roots=roots,
-        root_intervals=intervals,
-        conditions=conditions,
-        residuals=residuals,
-    )
+    return {"k": k_sys, "n": n, "roots": roots, "root_intervals": intervals,
+            "conditions": conditions, "residuals": residuals}
 
 
 def certify_matrix(
@@ -618,9 +586,12 @@ def certify_matrix(
     The matrix must have unit determinant and an all-real simple spectrum;
     magnitude conditions are evaluated only when ``eps`` is given.  Its
     characteristic polynomial comes from the trace recursion, and a
-    determinant, (-1)^n p(0), other than 1 raises ``ValueError``.  A
-    spectrum whose signs do not alternate around its float roots goes to
-    Sturm isolation before it is refused.
+    determinant, (-1)^n p(0), other than 1 raises ``ValueError``.  The
+    roots are isolated by sign alternation around the float roots, as
+    ``find_matrix`` isolates them; a spectrum whose signs do not alternate
+    there goes to Sturm isolation (``exactlin.sturm_isolate``), whose
+    intervals, refined below ``_ROOT_TOL``, give the guesses, so a refusal
+    still carries a proof.  An empty ``mu`` matches the middle roots to 0.
     """
     n = A.n
     if len(mu) not in (0, n - 2):
@@ -628,12 +599,24 @@ def certify_matrix(
     poly = char_poly(A)
     if poly.coeffs[0] != (-1) ** n:
         raise ValueError("matrix determinant must be exactly 1")
-    mu_eff = tuple(mu) if mu else tuple(0.0 for _ in range(n - 2))
+    guesses = _float_roots(poly)
+    iso = None if guesses is None else alternation_isolate(poly, guesses)
+    if iso is not None:
+        ivs = iso.intervals
+    else:
+        try:
+            iso = sturm_isolate(poly, require_simple=True)
+        except SquareFreeViolation:
+            raise ValueError(_REFUSALS["not_real"]) from None
+        if iso.count_real != n:
+            raise ValueError(_REFUSALS["not_real"])
+        ivs = [refine_root(poly, iv, _ROOT_TOL) for iv in iso.intervals]
+        guesses = [float((a + b) / 2) for a, b in ivs]
     try:
-        cert = _certificate_from_matrix(A, poly, mu_eff, eps, sturm_fallback=True)
+        fields = _certificate_fields(poly, ivs, guesses, mu or (0.0,) * (n - 2), eps)
     except _Rejected as exc:
         raise ValueError(_REFUSALS[exc.args[0]]) from None
-    return cert if mu else replace(cert, mu=())
+    return SpectrumCertificate(matrix=A, eps=eps, mu=tuple(float(v) for v in mu), **fields)
 
 
 def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
@@ -641,13 +624,16 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
     exact layer accepts.
 
     k1 runs through ``_k1_floor`` * 2^i up to ``request.k1_max``.  Each k1
-    is rounded once, k' = rint(x + k1*sigma), and ``_certificate_from_matrix``
-    alone accepts or rejects the polynomial of (k1,) + k', which
-    ``companion_poly`` writes down without the trace recursion; only the
-    accepted one has its companion matrix built.
-    ``SearchExhausted`` ends the search past ``k1_max``, or before a
-    rounding whose k1*max|sigma| reaches 2**50.  The certificate's ``search``
-    holds the counters.
+    is rounded once, k' = rint(x + k1*sigma), and the exact layer alone
+    accepts or rejects the polynomial of (k1,) + k', which ``companion_poly``
+    writes down without the trace recursion.  Its roots are isolated by sign
+    alternation around its float roots (``exactlin.alternation_isolate``)
+    and nothing else: a polynomial whose signs do not alternate there is
+    rejected as not real, with no Sturm sequence.  ``_certificate_fields``
+    decides the rest, and only the accepted polynomial has its companion
+    matrix built.  ``SearchExhausted`` ends the search past ``k1_max``, or
+    before a rounding whose k1*max|sigma| reaches 2**50.  The certificate's
+    ``search`` holds the counters.
     """
     counters = SearchCounters()
     sigma = elementary_symmetric(seed_lambdas(request).lams)
@@ -666,14 +652,20 @@ def find_matrix(request: SpectrumRequest) -> SpectrumCertificate:
             )
         counters.k1_tried.append(k1)
         kprime = np.rint(x + k1 * rate)
-        k = tuple(reversed((k1, *(int(v) for v in kprime))))
+        poly = companion_poly(tuple(reversed((k1, *(int(v) for v in kprime)))))
         counters.exact_checks += 1
+        guesses = _float_roots(poly)
+        iso = None if guesses is None else alternation_isolate(poly, guesses)
         try:
-            cert = _certificate_from_matrix(None, companion_poly(k), request.mu, request.eps)
+            if iso is None:
+                raise _Rejected("not_real")
+            fields = _certificate_fields(poly, iso.intervals, guesses, request.mu, request.eps)
         except _Rejected as exc:
             counters.rejections[exc.args[0]] += 1
         else:
-            return replace(cert, search=counters)
+            return SpectrumCertificate(matrix=companion_matrix(poly), eps=request.eps,
+                                       mu=tuple(float(v) for v in request.mu),
+                                       search=counters, **fields)
         k1 *= 2
     raise SearchExhausted(
         f"no certificate for {where} at the doubling k1 values up to "

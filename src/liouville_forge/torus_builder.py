@@ -343,7 +343,8 @@ def _section_boxes(model: ContactModel, depth: int,
     times through the map, branch k's angle at step j taken from the integer
     k·m^j mod m^d.  ``ModelError`` for a section record that does not fit the
     chart, or unless the map is affine as ``Section`` states, to 1e-9 of the
-    chart's half-widths on its probe points."""
+    chart's half-widths on its probe points, and ``DegenerateCloud`` for
+    boxes of zero width, before the map runs on a centre."""
     _require_self_map(model, depth)
     chart, section, iv = model.chart, model.section, list(model.chart.interval_idx)
     if len(chart.periodic_idx) != 1:
@@ -359,6 +360,9 @@ def _section_boxes(model: ContactModel, depth: int,
         shift = model.phi(probe)[:, iv] - model.phi(at_mid)[:, iv]
     if not np.all(np.abs(shift - (probe - at_mid)[:, iv] * section.rates) <= 1e-9 * half):
         raise ModelError("the section's map is not diag(rates)·x + t(theta) on the probe points")
+    half = half * np.abs(np.array(section.rates)) ** depth
+    if not np.all(half > 0):
+        raise DegenerateCloud(f"the depth-{depth} boxes have zero width: all points coincide")
     pi_idx, m = chart.periodic_idx[0], section.multiplier
     period, branches = chart.coords[pi_idx].period, m**depth
     index, pts = np.arange(branches), np.tile(mid, (branches, 1))
@@ -366,7 +370,7 @@ def _section_boxes(model: ContactModel, depth: int,
         pts[:, pi_idx] = (theta0 % period * m**j + period * index) / branches
         pts = model.phi(pts)
         index = index * m % branches
-    return pts[:, iv], half * np.abs(np.array(section.rates)) ** depth
+    return pts[:, iv], half
 
 
 def section_cloud(
@@ -828,7 +832,7 @@ def skeleton_analysis(
         raise ValueError("seeds must be positive")
     if theta0 is not None and not math.isfinite(theta0):
         raise ValueError("theta0 must be finite")
-    if scales:
+    if scales is not None:
         scales = _sorted_scales(scales)
     chart, section = model.chart, model.section
     if section is None and theta0 is not None:
@@ -836,7 +840,7 @@ def skeleton_analysis(
                          "this model is measured through its whole image")
     if section is None and model.affine is not None:
         _require_self_map(model, depth)
-        found, counts, resolved, top = _affine_counts(model, depth, scales or None)
+        found, counts, resolved, top = _affine_counts(model, depth, scales)
         note = None
         if resolved < len(found):
             note = (f"{len(found) - resolved} of {len(found)} scales are below {top:.3g}, the "
@@ -851,14 +855,16 @@ def skeleton_analysis(
                                      origin=chart.lows())
         return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds,
                                 "sampled", sample)
-    if seeds < max(1, section.multiplier**depth):
+    # For m >= 2, m**d > seeds once d >= seeds.bit_length(): a deep refusal
+    # builds no m**d.
+    m = section.multiplier
+    if m > 1 and (depth >= int(seeds).bit_length() or seeds < m**depth):
         raise ValueError("the section route needs seeds >= multiplier**depth")
     if seeds * chart.dim * 8 > 2**47:  # their cloud passes a 48-bit address space
         raise MemoryError(f"{seeds} seeds make a section cloud too large to allocate")
     centres, half = _section_boxes(model, depth, theta0 or 0.0)
-    if not np.all(half > 0):
-        raise DegenerateCloud(f"the depth-{depth} boxes have zero width: all points coincide")
-    scales = scales or _sorted_scales(_default_section_scales(section.rates[0], depth))
+    if scales is None:
+        scales = _sorted_scales(_default_section_scales(section.rates[0], depth))
     box = _fit(scales, _box_counts(centres, half, scales, chart.lows()[list(chart.interval_idx)]))
     gap = suggested_section_gap(model, depth)
     # Centres are good to 8 ulps per step of their largest coordinate (or of 1).

@@ -365,6 +365,8 @@ class TestUsageErrors:
         ["skeleton", "--model", "solenoid", "--depth", "-1", "--seeds", "1000"],
         ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000",
          "--scales", "0.1"],
+        # No values at all: once the default scales ran and echoed "scales": [].
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "1000", "--scales"],
         ["certify", "--model", "solenoid", "--samples", "-5"],
         ["certify", "--model", "solenoid", "--samples", "0"],
         ["find-matrix", "--n", "3", "--mu", "1.0", "2.0"],
@@ -425,7 +427,7 @@ class TestUsageErrors:
         ["certify", "--model", "transverse-knot", "--c", "1e-170", "--delta", "1e-170",
          "--samples", "500"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
-            "skeleton-one-scale", "certify-samples-negative", "certify-samples-0",
+            "skeleton-one-scale", "skeleton-no-scales", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
             "find-matrix-eps-inf", "skeleton-seeds-negative", "skeleton-scales-nan",
             "skeleton-seeds-below-branches", "skeleton-section-nan",

@@ -430,7 +430,7 @@ class TestRowReductions:
     @pytest.mark.parametrize("cols", [128, 129, 136, 300])
     def test_row_sum_past_numpy_block(self, cols):
         # Past 128 entries numpy's pairwise sum splits a row; chart rows
-        # never get there, but the split is kept bit for bit too.
+        # never get there, and _row_sum hands such rows to numpy as well.
         rng = np.random.default_rng(cols)
         x = rng.standard_normal((50, cols)) * 10.0 ** rng.integers(-8, 9, (50, cols))
         _assert_same_bits(contact_kernel._row_sum(x), np.add.reduce(x, axis=1))
@@ -482,7 +482,7 @@ class TestRowReductions:
 
 
 # The bench's anosov n = 3 and 4 inputs, and the ladder's n = 5 and 9 ones:
-# charts of 9 and 17 coordinates take _row_sum's pairwise branch.
+# charts of 9 and 17 coordinates take numpy's own reduce in _row_sum.
 _SWAP_MODELS = {
     "anosov3": (3, (1.10,), 0.4, 7173),
     "anosov4": (4, (1.21, 1.25), 0.4, 7197),

@@ -341,7 +341,7 @@ class TestSeedLambdas:
 
 def _assert_certificate_valid(cert, request):
     assert determinant(cert.matrix) == 1
-    assert cert.passed
+    assert cert.conditions == {"middles_within_eps": True, "tail_magnitudes": True}
     n = request.n
     assert len(cert.roots) == n
     # middle eigenvalues near targets
@@ -447,7 +447,7 @@ class TestFindMatrix:
         # k1 floor or the rounding changes these.  Each pinned matrix must
         # also certify on its own.
         cert = find_matrix(req)
-        assert certify_matrix(cert.matrix, req.mu, req.eps).passed
+        assert certify_matrix(cert.matrix, req.mu, req.eps) == cert
         n = req.n
         expected = [
             [int(i == j + 1) for j in range(n - 1)] + [matrix_last_column[i]]
@@ -636,6 +636,25 @@ class TestCertifyMatrix:
             [(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2], abs=1e-10
         )
         assert all(hi - lo < 1e-12 for lo, hi in cert.root_intervals)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_find_matrix(self, n, eps):
+        # The spectrum sweep's shapes, with seeded mu: find_matrix isolates
+        # by sign alternation alone, certify_matrix isolates on its own (with
+        # Sturm isolation to fall back on), and on a found matrix both build
+        # the same certificate bit for bit (``search`` does not compare).
+        rng = np.random.default_rng([n, int(eps * 10)])
+        found = 0
+        for seed in range(4):
+            mu = tuple(round(float(v), 4) for v in rng.uniform(-2.0, 2.0, n - 2))
+            try:
+                cert = find_matrix(SpectrumRequest(n=n, mu=mu, eps=eps, seed=seed))
+            except SearchExhausted:
+                continue
+            found += 1
+            assert certify_matrix(cert.matrix, cert.mu, cert.eps) == cert
+        assert found >= 2
 
     def test_accepted_intervals_are_refined(self):
         req = SpectrumRequest(n=5, mu=(0.9, 1.3, 1.7), eps=0.5, seed=1)

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -1085,6 +1086,31 @@ class TestSectionBoxes:
     def test_zero_width_boxes_refused(self):
         with pytest.raises(DegenerateCloud):
             skeleton_analysis(builtin_model("jet_space"), 1100, 100)
+
+    def test_zero_width_refused_before_the_depth_loop(self):
+        # Only the affine probe check runs the map: the half-widths are
+        # known from the depth, so no centre is pushed through 2000 steps.
+        jet = builtin_model("jet_space")
+        calls = []
+
+        def forward(pts):
+            calls.append(len(pts))
+            return jet.phi.forward(pts)
+
+        spied = replace(jet, phi=replace(jet.phi, forward=forward))
+        torus_builder._section_boxes(spied, 0, 0.0)
+        probe_calls, calls[:] = len(calls), []
+        with pytest.raises(DegenerateCloud):
+            skeleton_analysis(spied, 2000, 10)
+        assert len(calls) <= probe_calls
+
+    def test_deep_refusal_builds_no_power(self, solenoid):
+        # 2**(10**9) took 6.9 s and 443 MiB to build; the bit length of the
+        # seed count decides it.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="multiplier"):
+            skeleton_analysis(solenoid, 10**9, 10)
+        assert time.perf_counter() - start < 1.0
 
 
 def _negative_rate_solenoid(solenoid):
