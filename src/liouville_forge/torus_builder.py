@@ -40,7 +40,6 @@ __all__ = [
     "SkeletonSample",
     "BoxCountResult",
     "SkeletonAnalysis",
-    "DescentViolation",
     "EmptySection",
     "DegenerateCloud",
     "constant_roof",
@@ -57,15 +56,6 @@ __all__ = [
     "skeleton_analysis",
     "export_cloud_csv",
 ]
-
-
-class DescentViolation(Exception):
-    """The rescaled form does not survive the gluing within tolerance."""
-
-    def __init__(self, residual: float, tol: float):
-        super().__init__(f"descent residual {residual:.6e} >= tol {tol:.1e}")
-        self.residual = residual
-        self.tol = tol
 
 
 class EmptySection(Exception):
@@ -120,10 +110,9 @@ class MappingTorusModel:
 
 @dataclass(frozen=True)
 class SkeletonSample:
-    """Point cloud approximating the attractor at a given iteration depth."""
+    """Point cloud approximating the attractor, and the chart it lives on."""
 
     points: np.ndarray
-    depth: int
     chart: Chart
 
 
@@ -152,7 +141,6 @@ class SkeletonAnalysis:
     depth: int
     seeds: int
     evidence: str  # a key of contact_kernel.EVIDENCE
-    sample: SkeletonSample | None = None  # the cloud route's cloud; not reported
     centres: np.ndarray | None = None  # the section route's box centres; not reported
     resolved_scales: int | None = None  # the affine route's scales >= the image's half-width
     note: str | None = None
@@ -211,30 +199,31 @@ def extend_G(base: ContactModel, rng_seed: int = 0) -> GExtension:
 
 
 def build_mapping_torus(
-    base: ContactModel, tilt_eps: float = 0.1, rng_seed: int = 0
+    base: ContactModel, tilt_eps: float = 0.1, rng_seed: int = 0, force_G: float | None = None
 ) -> MappingTorusModel:
-    return MappingTorusModel(base=base, G=extend_G(base, rng_seed=rng_seed), tilt_eps=tilt_eps)
+    """The mapping torus over ``base`` with the roof ``extend_G`` reads off
+    it, or, given ``force_G``, the constant roof of that value (mode
+    ``"forced"``), which samples nothing.  ``descent_check`` tells whether
+    the roof glues."""
+    if force_G is None:
+        G = extend_G(base, rng_seed=rng_seed)
+    else:
+        G = GExtension(constant_roof(force_G), "forced", force_G)
+    return MappingTorusModel(base=base, G=G, tilt_eps=tilt_eps)
 
 
 # -- descent of the rescaled form ---------------------------------------------
 
-def descent_check(
-    model: MappingTorusModel,
-    samples: int = 1000,
-    tol: float = 1e-9,
-    rng_seed: int = 0,
-) -> float:
+def descent_check(model: MappingTorusModel, samples: int = 1000, rng_seed: int = 0) -> float:
     """Max descent residual |e^(s+G(phi x)) phi^*alpha - e^s alpha| over
-    sampled (s, x) with s in [0, G(phi x)], the fiber over x; raises unless
-    it is below the finite positive ``tol`` (so a NaN residual fails).  The form
-    e^s alpha has no ds term, so dG never enters its pullback through the
-    gluing map and only the Jacobian of phi does.  One pass over row blocks
-    maps each block, reads the roof at its images and keeps each row's
-    largest defect only."""
+    sampled (s, x) with s in [0, G(phi x)], the fiber over x, returned for
+    the caller to judge, NaN included, as ``boundary_transversality_check``
+    returns its margin.  The form e^s alpha has no ds term, so dG never
+    enters its pullback through the gluing map and only the Jacobian of phi
+    does.  One pass over row blocks maps each block, reads the roof at
+    its images and keeps each row's largest defect only."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     base = model.base
     chart = base.chart
     lo, hi = chart.lows(), chart.highs()
@@ -248,10 +237,7 @@ def descent_check(
         return (_row_max(np.abs(d)),)
 
     (row_max,) = _in_row_blocks(defect, halton(samples, chart.dim + 1, rng_seed))
-    residual = float(np.max(row_max))
-    if not residual < tol:
-        raise DescentViolation(residual, tol)
-    return residual
+    return float(np.max(row_max))
 
 
 # -- boundary -----------------------------------------------------------------
@@ -297,6 +283,8 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
 # temporaries per value: 2048 rows keep them near 1 MiB at three columns, and
 # twice as many rows write no faster.
 _CSV_ROWS = 2048
+# export_cloud_csv keeps at most this many rows, taking every k-th point above it.
+_CSV_MAX_ROWS = 10_000_000
 
 
 def _iterate(model: ContactModel, pts: np.ndarray, depth: int) -> np.ndarray:
@@ -333,7 +321,7 @@ def iterate_attractor(
     """
     _require_self_map(model, depth)
     pts = _iterate(model, model.chart.sample(seeds, rng_seed), depth)
-    return SkeletonSample(points=pts, depth=depth, chart=model.chart)
+    return SkeletonSample(points=pts, chart=model.chart)
 
 
 def _section_boxes(model: ContactModel, depth: int,
@@ -402,7 +390,7 @@ def section_cloud(
         c = chart.coords[i]
         step = (c.lo + u[:, col] * (c.hi - c.lo) - (c.lo + c.hi) / 2) * rate**depth
         np.add(centres[:, col, None], step, out=pts[:, :, i])
-    return SkeletonSample(points=pts.reshape(-1, chart.dim), depth=depth, chart=chart)
+    return SkeletonSample(points=pts.reshape(-1, chart.dim), chart=chart)
 
 
 def cross_section(
@@ -850,11 +838,9 @@ def skeleton_analysis(
         return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds, "exact",
                                 resolved_scales=resolved, note=note)
     if section is None:
-        sample = iterate_attractor(model, depth, seeds, rng_seed=rng_seed)
-        box = box_counting_dimension(sample.points, scales or _DEFAULT_CLOUD_SCALES,
-                                     origin=chart.lows())
-        return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds,
-                                "sampled", sample)
+        box = box_counting_dimension(iterate_attractor(model, depth, seeds, rng_seed).points,
+                                     scales or _DEFAULT_CLOUD_SCALES, origin=chart.lows())
+        return SkeletonAnalysis(1.0 + box.slope, "cloud", box, None, depth, seeds, "sampled")
     # For m >= 2, m**d > seeds once d >= seeds.bit_length(): a deep refusal
     # builds no m**d.
     m = section.multiplier
@@ -979,15 +965,10 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     return cells
 
 
-def export_cloud_csv(
-    points: np.ndarray,
-    names: Sequence[str],
-    path: str,
-    max_rows: int = 10_000_000,
-) -> int:
+def export_cloud_csv(points: np.ndarray, names: Sequence[str], path: str) -> int:
     """Write a cloud as CSV, one point per row with values as ``%.17g`` (the
     bytes of ``np.savetxt``); uniform stride subsampling keeps the file at or
-    below ``max_rows`` rows.  Returns rows written.
+    below ``_CSV_MAX_ROWS`` rows.  Returns rows written.
 
     ``_CSV_ROWS`` rows at a time are formatted on uint64 columns: each value
     with 10^-16 <= |x| < 10 gets its correctly rounded 17 digits from exact
@@ -997,8 +978,8 @@ def export_cloud_csv(
     pts = _cloud(points)
     if pts.shape[1] != len(names):
         raise ValueError("column names do not match point dimension")
-    if len(pts) > max_rows:
-        stride = int(math.ceil(len(pts) / max_rows))
+    if len(pts) > _CSV_MAX_ROWS:
+        stride = int(math.ceil(len(pts) / _CSV_MAX_ROWS))
         pts = pts[::stride]
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())

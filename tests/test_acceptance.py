@@ -23,7 +23,6 @@ from liouville_forge.spectrum_search import (
     find_matrix,
 )
 from liouville_forge.torus_builder import (
-    DescentViolation,
     GExtension,
     MappingTorusModel,
     box_counting_dimension,
@@ -168,14 +167,12 @@ def test_criterion_5_descent():
         models.append(anosov_model(cat, certify_matrix(cat)))
         for model in models:
             torus = build_mapping_torus(model)
-            assert descent_check(torus, samples=500, tol=1e-9) < 1e-9
+            assert descent_check(torus, samples=500) < 1e-9
         wrong = MappingTorusModel(
             models[0],
             GExtension(constant_roof(math.log(9.0)), "forced", math.log(9.0)),
         )
-        with pytest.raises(DescentViolation) as err:
-            descent_check(wrong, samples=300)
-        assert err.value.residual > 1e-2
+        assert descent_check(wrong, samples=300) > 1e-2
 
 
 def test_criterion_6_skeleton_dimension():

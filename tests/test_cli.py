@@ -335,6 +335,26 @@ class TestDescent:
         assert rep["status"] == "fail"
         assert rep["results"]["descent"]["max_residual"] > 1e-2
 
+    def test_nan_residual_fails_with_null(self, tmp_path, monkeypatch):
+        # A residual with no finite value fails (exit 1) and is written as
+        # null, as certify writes its figures; it once ended with exit 4.
+        monkeypatch.setattr(cli, "descent_check", lambda *a, **k: math.nan)
+        out = tmp_path / "r.json"
+        assert run(["descent", "--model", "solenoid", "--out", str(out)]) == 1
+        rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert rep["status"] == "fail"
+        assert rep["results"]["descent"]["max_residual"] is None
+
+    def test_zero_tol_refused_before_the_model_is_built(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+        out = tmp_path / "r.json"
+        assert run(["descent", "--model", "solenoid", "--tol", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and positive, got 0.0\n"
+        assert not out.exists()
+
     def test_nan_tol_fails_closed(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["descent", "--model", "solenoid", "--force-G", "2.1972",
@@ -426,6 +446,11 @@ class TestUsageErrors:
         ["certify", "--model", "transverse-knot", "--delta", "5e-324", "--samples", "500"],
         ["certify", "--model", "transverse-knot", "--c", "1e-170", "--delta", "1e-170",
          "--samples", "500"],
+        # A negative --seed once passed on the routes that draw no random numbers.
+        ["find-matrix", "--n", "2", "--seed", "-1"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "100", "--seed", "-1"],
+        ["skeleton", "--model", "anosov", "--n", "2", "--depth", "2", "--seeds", "100",
+         "--seed", "-1"],
     ], ids=["descent-samples-0", "descent-tilt-eps-negative", "skeleton-depth-negative",
             "skeleton-one-scale", "skeleton-no-scales", "certify-samples-negative", "certify-samples-0",
             "find-matrix-mu-count", "find-matrix-mu-inf", "find-matrix-eps-nan",
@@ -442,12 +467,29 @@ class TestUsageErrors:
             "certify-tol-0", "certify-tol-negative", "descent-tol-inf", "descent-tol-0",
             "descent-tol-negative", "find-matrix-eps-subnormal", "certify-anosov-eps-subnormal",
             "find-matrix-eps-times-sigma-underflows", "certify-knot-c-delta-overflow",
-            "certify-knot-c-over-delta-overflow", "certify-knot-c-delta-underflow"])
+            "certify-knot-c-over-delta-overflow", "certify-knot-c-delta-underflow",
+            "find-matrix-seed-negative", "skeleton-solenoid-seed-negative",
+            "skeleton-anosov-seed-negative"])
     def test_bad_input_exits_2_without_report(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    # These once ended with numpy's "expected non-negative integer", which
+    # names no option.
+    @pytest.mark.parametrize("argv", [
+        ["find-matrix", "--n", "3", "--mu", "1.0"],
+        ["certify", "--model", "solenoid", "--samples", "100"],
+        ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "100", "--section", "0",
+         "--csv-out", "s.csv"],
+        ["descent", "--model", "solenoid", "--samples", "100"],
+    ], ids=["find-matrix", "certify", "skeleton-section-csv", "descent"])
+    def test_negative_seed_refused_by_name(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--seed", "-1", "--out", "r.json"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--model", "solenoid", "--samples", "10000000000000"],

@@ -35,7 +35,7 @@ from liouville_forge.contact_kernel import (
 )
 from liouville_forge.exactlin import IntMatrix
 from liouville_forge.spectrum_search import SpectrumRequest, certify_matrix, find_matrix
-from liouville_forge.torus_builder import DescentViolation, build_mapping_torus, descent_check
+from liouville_forge.torus_builder import build_mapping_torus, descent_check
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2
 
@@ -339,14 +339,6 @@ class TestCertifyContraction:
         assert max(calls) <= contact_kernel._BLOCK_ROWS
 
 
-def _descent_outcome(model):
-    """The residual descent_check returns, or the one it raises with."""
-    try:
-        return descent_check(build_mapping_torus(model), samples=1000)
-    except DescentViolation as err:
-        return ("violation", err.residual)
-
-
 class TestRowBlocks:
     @pytest.mark.parametrize("name", ["solenoid", "jet", "anosov3", "knot_delta_01", "k_to_one"])
     def test_reports_do_not_depend_on_the_block_size(self, name, request, monkeypatch):
@@ -363,7 +355,8 @@ class TestRowBlocks:
         for rows in (7, 10**9):
             monkeypatch.setattr(contact_kernel, "_BLOCK_ROWS", rows)
             cert = certify_contraction(model, samples=2000, rng_seed=3).to_dict()
-            outcomes.append((json.dumps(cert, sort_keys=True), repr(_descent_outcome(model))))
+            residual = descent_check(build_mapping_torus(model), samples=1000)
+            outcomes.append((json.dumps(cert, sort_keys=True), repr(residual)))
         assert outcomes[0] == outcomes[1]
         if name == "knot_delta_01":
             assert "12 samples mapped to non-finite points" in json.loads(outcomes[0][0])["notes"]
@@ -506,7 +499,8 @@ class TestColumnReductionsInCertify:
 
         def outcome():
             cert = certify_contraction(model, samples=3000, rng_seed=5).to_dict()
-            return json.dumps(cert, sort_keys=True), repr(_descent_outcome(model))
+            residual = descent_check(build_mapping_torus(model), samples=1000)
+            return json.dumps(cert, sort_keys=True), repr(residual)
 
         ours = outcome()
         monkeypatch.setattr(contact_kernel, "_row_all", lambda m: m.all(axis=1))
