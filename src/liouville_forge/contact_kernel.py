@@ -16,9 +16,10 @@ conformal factor off it.
 
 ``certify_contraction`` and ``torus_builder.descent_check`` run their samples
 through ``pullback`` in row blocks of ``_BLOCK_ROWS``, so each block's
-temporaries stay in cache and only per-row results (margins, determinants,
-factors) are kept for the whole batch: memory is O(N d), and no ``(N, d, d)``
-Jacobian is held.  A block whose Jacobians are one broadcast matrix (a
+temporaries stay in cache, and each block is folded to the figures the
+report reads (least margin, least |det|, counts, extreme factors, largest
+residual): the sample is the only ``(N, d)`` array held, and no ``(N, d,
+d)`` Jacobian is.  A block whose Jacobians are one broadcast matrix (a
 ``np.broadcast_to`` view, as the affine maps return them) takes one
 determinant, of that matrix, for every row; a batch of equal matrices held
 row by row takes one per row.  Reductions across a row's d coordinates run
@@ -164,15 +165,6 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``np.max(x, axis=1)`` of an (N, d) float array, d >= 1; a row holding
-    NaN gives NaN, as there."""
-    out = x[:, 0].copy()
-    for col in x.T[1:]:
-        np.maximum(out, col, out=out)
-    return out
-
-
 @dataclass(frozen=True)
 class Coord:
     """One chart coordinate: either an interval factor or a circle factor."""
@@ -300,13 +292,16 @@ class Chart:
         return r
 
     def sample(self, n: int, rng_seed: int = 0) -> np.ndarray:
-        """Low-discrepancy points covering the chart, from ``halton``."""
+        """Low-discrepancy points covering the chart: ``halton``'s own
+        column-major array, scaled in place to ``lo + u * (hi - lo)`` (the
+        same products, and the sum in the other order, so the same bits)."""
         if n < 1:
             raise ValueError("sample count must be positive")
         u = halton(n, self.dim, rng_seed)
         lo = self.lows()
-        hi = self.highs()
-        return lo + u * (hi - lo)
+        u *= self.highs() - lo
+        u += lo
+        return u
 
     def probe_points(self, cap: int = 8192) -> np.ndarray:
         """Deterministic corner/edge probes: interval coordinates at
@@ -551,12 +546,17 @@ def contact_check(form: OneForm, pts: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 8192
 
 
-def _in_row_blocks(fn: Callable, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``fn`` applied to the same blocks of ``_BLOCK_ROWS`` rows of each of
-    ``arrays``; it returns per-row arrays, each joined over the blocks."""
-    n = len(arrays[0])
-    parts = [fn(*(a[i : i + _BLOCK_ROWS] for a in arrays)) for i in range(0, n, _BLOCK_ROWS)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+def _row_blocks(*parts: np.ndarray):
+    """Blocks of ``_BLOCK_ROWS`` consecutive rows of ``parts`` stacked end to
+    end, without the stack: a block inside one part is a view of its rows,
+    in that part's layout, and only a block across a seam is joined, in C
+    order as ``np.vstack`` gives it."""
+    starts = np.cumsum([0, *map(len, parts)]).tolist()
+    for i in range(0, starts[-1], _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, starts[-1])
+        pieces = [p[max(i - s, 0) : j - s] for p, s in zip(parts, starts)
+                  if s < j and i < s + len(p)]
+        yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _determinants(jac: np.ndarray) -> np.ndarray:
@@ -577,79 +577,105 @@ def certify_contraction(
     rng_seed: int = 0,
 ) -> ContractionCertificate:
     """Sample the chart (plus deterministic corner probes) and check the
-    three contraction axioms; per-axiom verdicts are recorded, not thrown."""
+    three contraction axioms; per-axiom verdicts are recorded, not thrown.
+
+    The sample and the probes are taken in row blocks as a stack of the two
+    would hold them, without the stack, and each block is folded to its
+    figures at once, so the sample is the only ``(N, d)`` array held."""
     if model.phi is None:
         raise ModelError("model has no map to certify")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     chart = model.chart
     codomain = model.codomain
-    pts = np.vstack([chart.sample(samples, rng_seed), chart.probe_points()])
-    notes: list[str] = []
-
+    sample = chart.sample(samples, rng_seed)
+    probes = chart.probe_points()
     inverse = model.phi.inverse
 
-    def block(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-row evidence: finite image, margin, determinant, f / resid /
-        scale, and the in-chart inverse branch count of each finite image."""
+    def block(x: np.ndarray) -> tuple:
+        """The figures of one block of rows, laid out in C order as a stack
+        of the sample and the probes would hold them: its count of
+        non-finite images and least margin; its least finite |det| and whether every |det| is finite;
+        its collisions; whether d3 holds at every row; and its least and
+        greatest finite factor, greatest finite residual and least and
+        greatest g = -log f.  A min over no value is inf, a max -inf."""
+        x = np.ascontiguousarray(x)
         pb, q, jac = pullback(model.phi, model.codomain_alpha, x, codomain)
         finite = _row_all(np.isfinite(q))
-        branches = np.empty(0, dtype=np.intp)
+        collisions = 0
         with np.errstate(all="ignore"):
-            dets = _determinants(jac)
+            dets = np.abs(_determinants(jac))
             if inverse is not None:
                 pre = inverse(q[finite])
                 branches = np.zeros(len(pre), dtype=np.intp)
                 for k in range(pre.shape[1]):
                     branches += chart.contains(pre[:, k])
-        return (finite, codomain.interior_margins(q, finite), dets, branches,
-                *_proportionality(pb, model.alpha(x)))
+                collisions = int(np.count_nonzero(branches != 1))
+        finite_det = np.isfinite(dets)
+        f, resid, scale = _proportionality(pb, model.alpha(x))
+        finite_f = np.isfinite(f)
+        with np.errstate(over="ignore"):  # a tol near DBL_MAX admits every finite residual
+            ok = finite_f & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
+        g = -np.log(f[finite_f & (f > 0.0)])
+        return (
+            len(x) - int(np.count_nonzero(finite)),
+            np.min(codomain.interior_margins(q, finite)),
+            np.min(dets, initial=np.inf, where=finite_det),
+            bool(finite_det.all()),
+            collisions,
+            bool(ok.all()),
+            np.min(f, initial=np.inf, where=finite_f),
+            np.max(f, initial=-np.inf, where=finite_f),
+            np.max(resid, initial=-np.inf, where=np.isfinite(resid)),
+            np.min(g, initial=np.inf),
+            np.max(g, initial=-np.inf),
+        )
 
-    finite_img, margins, dets, branches, f, resid, scale = _in_row_blocks(block, pts)
-    if not finite_img.all():
-        notes.append(f"{int((~finite_img).sum())} samples mapped to non-finite points")
+    # Each figure folds over the blocks by the one of min, max, sum and all
+    # it is; these are exact and blind to the order and the blocking.
+    folds = (sum, min, min, all, sum, all, min, max, max, min, max)
+    (non_finite, margin_min, det_min, dets_finite, collisions, d3_ok,
+     f_min, f_max, resid_max, g_min, g_max) = (
+        fold(col) for fold, col in zip(folds, zip(*map(block, _row_blocks(sample, probes)))))
 
-    # A figure with no finite value is reported as None (JSON null).
-    d1_min = float(np.min(margins)) if finite_img.all() else None
+    def finite_or_none(x) -> float | None:
+        """A figure with no finite value is reported as None (JSON null)."""
+        return float(x) if math.isfinite(x) else None
+
+    notes: list[str] = []
+    if non_finite:
+        notes.append(f"{non_finite} samples mapped to non-finite points")
+    d1_min = None if non_finite else float(margin_min)
     d1 = {
         "min_margin": d1_min,
         "required_margin": INTERIOR_MARGIN,
         "pass": bool(d1_min is not None and d1_min >= INTERIOR_MARGIN),
     }
 
-    finite_det = np.isfinite(dets)
-    det_min = float(np.min(np.abs(dets[finite_det]))) if finite_det.any() else 0.0
-    collisions = None
+    det_min = float(det_min) if det_min < np.inf else 0.0
     if inverse is None:
+        collisions = None
         notes.append("injectivity not checked: the map has no inverse")
-    else:
-        collisions = int(np.count_nonzero(branches != 1))
     d2 = {
         "min_abs_det": det_min,
         "collisions": collisions,
-        "pass": bool(finite_det.all() and det_min >= tol and collisions == 0),
+        "pass": bool(dets_finite and det_min >= tol and collisions == 0),
     }
 
-    with np.errstate(over="ignore"):  # a tol near DBL_MAX admits every finite residual
-        ok = np.isfinite(f) & (resid <= tol * scale) & (f > 0.0) & (f < 1.0)
-    valid = np.isfinite(f) & (f > 0.0)
-    g = -np.log(f[valid]) if valid.any() else np.array([])
-    if not np.isfinite(f).any():
+    if f_min == np.inf:
         notes.append("no sample has a finite conformal factor")
     d3 = {
-        "pass": bool(ok.all()),
-        "factor_min": float(np.min(f[np.isfinite(f)])) if np.isfinite(f).any() else None,
-        "factor_max": float(np.max(f[np.isfinite(f)])) if np.isfinite(f).any() else None,
-        "max_residual": float(np.max(resid[np.isfinite(resid)]))
-        if np.isfinite(resid).any()
-        else None,
-        "g_min": float(g.min()) if g.size else None,
-        "g_max": float(g.max()) if g.size else None,
+        "pass": d3_ok,
+        "factor_min": finite_or_none(f_min),
+        "factor_max": finite_or_none(f_max),
+        "max_residual": finite_or_none(resid_max),
+        "g_min": finite_or_none(g_min),
+        "g_max": finite_or_none(g_max),
     }
 
     return ContractionCertificate(
         model=model.name,
-        sample_count=len(pts),
+        sample_count=samples + len(probes),
         tol=tol,
         d1=d1,
         d2=d2,

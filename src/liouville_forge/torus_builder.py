@@ -27,8 +27,7 @@ from .contact_kernel import (
     ContactModel,
     ModelError,
     _BLOCK_ROWS,
-    _in_row_blocks,
-    _row_max,
+    _row_blocks,
     halton,
     model_conformal_factors,
     pullback,
@@ -221,23 +220,23 @@ def descent_check(model: MappingTorusModel, samples: int = 1000, rng_seed: int =
     returns its margin.  The form e^s alpha has no ds term, so dG never
     enters its pullback through the gluing map and only the Jacobian of phi
     does.  One pass over row blocks maps each block, reads the roof at
-    its images and keeps each row's largest defect only."""
+    its images and keeps the block's largest defect only."""
     if samples < 1:
         raise ValueError("samples must be positive")
     base = model.base
     chart = base.chart
     lo, hi = chart.lows(), chart.highs()
 
-    def defect(ub: np.ndarray) -> tuple[np.ndarray]:
+    def defect(ub: np.ndarray) -> np.float64:
         x = lo + ub[:, : chart.dim] * (hi - lo)
         pb, q, _ = pullback(base.phi, base.codomain_alpha, x, base.codomain)
         g = model.G(q)
         s = ub[:, chart.dim] * g
         d = np.exp(s + g)[:, None] * pb - np.exp(s)[:, None] * base.alpha(x)
-        return (_row_max(np.abs(d)),)
+        return np.max(np.abs(d))
 
-    (row_max,) = _in_row_blocks(defect, halton(samples, chart.dim + 1, rng_seed))
-    return float(np.max(row_max))
+    u = halton(samples, chart.dim + 1, rng_seed)
+    return float(np.max([defect(block) for block in _row_blocks(u)]))
 
 
 # -- boundary -----------------------------------------------------------------

@@ -142,8 +142,8 @@ class TestCertify:
         assert rep["results"]["contraction_certificate"]["d3"]["pass"]
 
     def test_anosov_million_samples_under_700_mb(self, tmp_path):
-        # Row blocks hold per-row results only: the address space peaks near
-        # 330 MiB, where the whole (N, 7, 7) Jacobian batch took near 1 GiB.
+        # Each row block is folded to its figures, so the sample is the only
+        # (N, 7) array held; the whole (N, 7, 7) Jacobian batch took near 1 GiB.
         argv = ["certify", "--model", "anosov", "--n", "4", "--mu", "1.21", "1.25",
                 "--seed", "7197", "--samples", "1000000"]
         proc = _run_capped(argv, tmp_path, cap=7 * 10**8)
