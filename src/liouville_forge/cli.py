@@ -6,8 +6,8 @@ shortest round-trip repr, and enough echoed inputs to re-run the command.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 search
 exhausted, 4 a report that strict JSON cannot hold (a non-finite number, which
 is a bug; nothing is written).  ``skeleton --section`` reports the size of
-the section cloud and builds that cloud, all on the fiber, only for
-``--csv-out``; a cloud-route model refuses it before iterating.
+the section cloud, all on the fiber, and places and writes it block by block
+only for ``--csv-out``; a cloud-route model refuses it before iterating.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .contact_kernel import (
 )
 from .spectrum_search import SearchExhausted, SpectrumRequest, find_matrix
 from .torus_builder import (
+    _section_rows,
     boundary_transversality_check,
     build_mapping_torus,
     descent_check,
     export_cloud_csv,
     iterate_attractor,
-    section_cloud,
     skeleton_analysis,
 )
 
@@ -108,13 +108,17 @@ def _write_report(args: argparse.Namespace, command: str, status: str, results: 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
     """Refuse ``--out`` or ``--csv-out`` that names a directory or lies in a
-    missing or unwritable one, before any work, so a refused command leaves
-    no file behind."""
-    for path in (getattr(args, "out", None), getattr(args, "csv_out", None)):
+    missing or unwritable one, and the two naming one file, before any work,
+    so a refused command leaves no file behind."""
+    out, csv_out = getattr(args, "out", None), getattr(args, "csv_out", None)
+    for path in (out, csv_out):
         if path and (
             os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
         ):
             raise OSError(f"cannot write {path}: not a file in a writable directory")
+    if out and csv_out and os.path.realpath(out) == os.path.realpath(csv_out):
+        raise ValueError(f"--out and --csv-out name the same file, {csv_out}: the report "
+                         "would overwrite the CSV")
 
 
 def _spectrum_request(args: argparse.Namespace) -> SpectrumRequest:
@@ -183,16 +187,18 @@ def cmd_skeleton(args: argparse.Namespace) -> int:
             section_info["clusters"] = analysis.section_clusters
         results["section"] = section_info
         if args.csv_out:
-            sample = section_cloud(model, args.depth, per_branch, args.section, args.seed,
-                                   centres=analysis.centres)
-            csv_points = sample.points[:, chart.interval_idx]
+            # Row blocks placed on the analysis's boxes as the writer draws
+            # them: no cloud of the section is held.
+            csv_points = _section_rows(model, args.depth, per_branch, args.seed,
+                                       analysis.centres)
+            csv_rows = section_info["points"]
             csv_names = [chart.names[i] for i in chart.interval_idx]
     elif args.csv_out:
         csv_points = iterate_attractor(model, args.depth, args.seeds, rng_seed=args.seed).points
-        csv_names = list(chart.names)
+        csv_rows, csv_names = None, list(chart.names)
 
     if args.csv_out:
-        rows = export_cloud_csv(csv_points, csv_names, args.csv_out)
+        rows = export_cloud_csv(csv_points, csv_names, args.csv_out, csv_rows)
         results["csv"] = {"path": args.csv_out, "rows": rows}
 
     _write_report(args, "skeleton", "pass", results)

@@ -18,7 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -278,9 +278,9 @@ def _require_self_map(model: ContactModel, depth: int) -> None:
 
 
 # _iterate takes _BLOCK_ROWS rows through every step while they sit in cache;
-# export_cloud_csv formats _CSV_ROWS rows per write, with about twenty uint64
-# temporaries per value: 2048 rows keep them near 1 MiB at three columns, and
-# twice as many rows write no faster.
+# _section_rows places, and export_cloud_csv formats, _CSV_ROWS rows per
+# block, with about twenty uint64 temporaries per value: 2048 rows keep them
+# near 1 MiB at three columns, and twice as many rows write no faster.
 _CSV_ROWS = 2048
 # export_cloud_csv keeps at most this many rows, taking every k-th point above it.
 _CSV_MAX_ROWS = 10_000_000
@@ -360,6 +360,28 @@ def _section_boxes(model: ContactModel, depth: int,
     return pts[:, iv], half
 
 
+def _section_rows(model: ContactModel, depth: int, seeds_per_branch: int, rng_seed: int,
+                  centres: np.ndarray) -> Iterator[np.ndarray]:
+    """The interval columns of ``section_cloud``'s rows on the boxes centred at
+    ``centres``, as blocks of at most ``_CSV_ROWS`` rows in its order: branch
+    by branch, the Halton seeds in order.  A block holds part of one branch,
+    or as many whole branches as fit.  The seeds and their steps
+    diag(rates)^d·(x − mid) are built on the call, so a count too large to
+    allocate fails here; each block is placed only when it is drawn, each
+    value ``np.add(centre_k[col], step_j[col])``."""
+    chart = model.chart
+    u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
+    steps = np.empty(u.shape)
+    for col, (i, rate) in enumerate(zip(chart.interval_idx, model.section.rates)):
+        c = chart.coords[i]
+        steps[:, col] = (c.lo + u[:, col] * (c.hi - c.lo) - (c.lo + c.hi) / 2) * rate**depth
+    group = max(1, _CSV_ROWS // max(1, seeds_per_branch))
+    return (np.add(centres[k : k + group, None], steps[start : start + _CSV_ROWS])
+            .reshape(-1, steps.shape[1])
+            for k in range(0, len(centres), group)
+            for start in range(0, seeds_per_branch, _CSV_ROWS))
+
+
 def section_cloud(
     model: ContactModel,
     depth: int,
@@ -374,22 +396,23 @@ def section_cloud(
     send a seed x of the chart's interval box to centre_k + diag(rates)^d·
     (x − mid), signs kept, and its angle to ``theta0 % period``.  So every
     point lies on the fiber at any finite angle, and the map runs only on the
-    box centres.  Rows run branch by branch, the Halton seeds in order.
+    box centres.  Rows run branch by branch, the Halton seeds in order: the
+    blocks of ``_section_rows`` stacked, with the angle column added.
     ``centres``, when given, are those boxes' centres as the section route of
     ``skeleton_analysis`` keeps them for the same model, depth and angle, so
     the boxes are not built again."""
     if centres is None:
         centres, _ = _section_boxes(model, depth, theta0)
+    blocks = _section_rows(model, depth, seeds_per_branch, rng_seed, centres)
     chart = model.chart
-    pi_idx = chart.periodic_idx[0]
-    u = halton(seeds_per_branch, len(chart.interval_idx), rng_seed)
-    pts = np.empty((len(centres), seeds_per_branch, chart.dim))
-    pts[:, :, pi_idx] = theta0 % chart.coords[pi_idx].period
-    for col, (i, rate) in enumerate(zip(chart.interval_idx, model.section.rates)):
-        c = chart.coords[i]
-        step = (c.lo + u[:, col] * (c.hi - c.lo) - (c.lo + c.hi) / 2) * rate**depth
-        np.add(centres[:, col, None], step, out=pts[:, :, i])
-    return SkeletonSample(points=pts.reshape(-1, chart.dim), chart=chart)
+    pi_idx, iv = chart.periodic_idx[0], list(chart.interval_idx)
+    pts = np.empty((len(centres) * seeds_per_branch, chart.dim))
+    pts[:, pi_idx] = theta0 % chart.coords[pi_idx].period
+    start = 0
+    for block in blocks:
+        pts[start : start + len(block), iv] = block
+        start += len(block)
+    return SkeletonSample(points=pts, chart=chart)
 
 
 def cross_section(
@@ -964,25 +987,36 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     return cells
 
 
-def export_cloud_csv(points: np.ndarray, names: Sequence[str], path: str) -> int:
+def export_cloud_csv(points: np.ndarray | Iterable[np.ndarray], names: Sequence[str],
+                     path: str, rows: int | None = None) -> int:
     """Write a cloud as CSV, one point per row with values as ``%.17g`` (the
-    bytes of ``np.savetxt``); uniform stride subsampling keeps the file at or
-    below ``_CSV_MAX_ROWS`` rows.  Returns rows written.
+    bytes of ``np.savetxt``); above ``_CSV_MAX_ROWS`` rows only the rows whose
+    index is a multiple of k = ⌈rows / _CSV_MAX_ROWS⌉ are kept, so the file
+    holds at most that many.  Returns rows written.
 
-    ``_CSV_ROWS`` rows at a time are formatted on uint64 columns: each value
-    with 10^-16 <= |x| < 10 gets its correctly rounded 17 digits from exact
-    integer arithmetic (``_csv_cells``), every other value (±0, larger or
-    smaller magnitudes, subnormals, nan, ±inf) from Python's ``'%.17g'``, in
-    the same buffer, and the NUL padding is dropped before the write."""
-    pts = _cloud(points)
-    if pts.shape[1] != len(names):
-        raise ValueError("column names do not match point dimension")
-    if len(pts) > _CSV_MAX_ROWS:
-        stride = int(math.ceil(len(pts) / _CSV_MAX_ROWS))
-        pts = pts[::stride]
+    ``points`` is an (N, d) array, written in slices of ``_CSV_ROWS`` rows,
+    or, with ``rows`` given, an iterable of (n, d) row blocks with d =
+    ``len(names)`` and ``rows`` rows in all, as ``_section_rows`` yields
+    them: each block is formatted and written as it is drawn, so no cloud is
+    held.  Values are formatted on uint64 columns: each value with 10^-16 <=
+    |x| < 10 gets its correctly rounded 17 digits from exact integer
+    arithmetic (``_csv_cells``), every other value (±0, larger or smaller
+    magnitudes, subnormals, nan, ±inf) from Python's ``'%.17g'``, in the same
+    buffer, and the NUL padding is dropped before the write."""
+    if rows is None:
+        pts = _cloud(points)
+        if pts.shape[1] != len(names):
+            raise ValueError("column names do not match point dimension")
+        rows = len(pts)
+        points = (pts[start : start + _CSV_ROWS] for start in range(0, rows, _CSV_ROWS))
+    stride = -(-rows // _CSV_MAX_ROWS)
+    at = written = 0
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        for start in range(0, len(pts), _CSV_ROWS):
-            text = _csv_cells(pts[start : start + _CSV_ROWS]).view(np.uint8)
+        for block in points:
+            kept = block[-at % stride :: stride]
+            at += len(block)
+            text = _csv_cells(kept).view(np.uint8)
             fh.write(text[text != 0])
-    return len(pts)
+            written += len(kept)
+    return written

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -141,12 +143,16 @@ class TestCertify:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["results"]["contraction_certificate"]["d3"]["pass"]
 
-    def test_anosov_million_samples_under_700_mb(self, tmp_path):
-        # Each row block is folded to its figures, so the sample is the only
-        # (N, 7) array held; the whole (N, 7, 7) Jacobian batch took near 1 GiB.
+    def test_anosov_million_samples_under_250000_kib(self, tmp_path):
+        # The sample is Halton's array scaled in place and each row block is
+        # folded to its figures, so the sample is the only (N, 7) array held:
+        # the address space peaks at 211,436 KiB (Python 3.11, numpy 2.4).  A
+        # scaled copy beside Halton's array, the stack with the probes and
+        # per-row results joined over the blocks took it to 288,272 KiB, the
+        # whole (N, 7, 7) Jacobian batch near 1 GiB.
         argv = ["certify", "--model", "anosov", "--n", "4", "--mu", "1.21", "1.25",
                 "--seed", "7197", "--samples", "1000000"]
-        proc = _run_capped(argv, tmp_path, cap=7 * 10**8)
+        proc = _run_capped(argv, tmp_path, cap=250_000 * 1024)
         assert proc.returncode == 0, proc.stderr
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["results"]["contraction_certificate"]["sample_count"] > 10**6
@@ -274,6 +280,66 @@ class TestSkeleton:
             ["x", "y"], str(ref))
         assert csv.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("per_branch", [600, 2055], ids=["3-branches-a-block",
+                                                             "2-blocks-a-branch"])
+    @pytest.mark.parametrize("theta0", ["0.0", "0.25", "7.0"])
+    @pytest.mark.parametrize("depth", [0, 1, 3, 6])
+    @pytest.mark.parametrize("name", ["solenoid", "jet-space"])
+    def test_streamed_section_csv_matches_the_cloud(self, name, depth, theta0, per_branch,
+                                                    tmp_path):
+        # The CLI writes row blocks of _CSV_ROWS = 2048 rows or fewer as they
+        # are placed: three branches of 600 seeds a block (the last block of
+        # 8 or 64 branches short), or a branch of 2055 seeds in two blocks.
+        # The bytes are those of the stacked cloud's interval columns.
+        model = builtin_model(name.replace("-", "_"))
+        branches = model.section.multiplier**depth
+        csv, out = tmp_path / "sec.csv", tmp_path / "r.json"
+        assert run(["skeleton", "--model", name, "--depth", str(depth), "--seeds",
+                    str(branches * per_branch + branches - 1), "--section", theta0,
+                    "--seed", "3", "--csv-out", str(csv), "--out", str(out)]) == 0
+        iv = list(model.chart.interval_idx)
+        ref = tmp_path / "ref.csv"
+        rows = torus_builder.export_cloud_csv(
+            torus_builder.section_cloud(model, depth, per_branch, float(theta0), 3).points[:, iv],
+            [model.chart.names[i] for i in iv], str(ref))
+        assert csv.read_bytes() == ref.read_bytes()
+        assert json.loads(out.read_text())["results"]["csv"]["rows"] == rows
+
+    @pytest.mark.parametrize("per_branch", [600, 2055])
+    def test_streamed_section_csv_keeps_every_kth_row(self, per_branch, tmp_path, monkeypatch):
+        # Above _CSV_MAX_ROWS rows the kept rows are picked by their index in
+        # the cloud, also where a block starts off the stride.
+        monkeypatch.setattr(torus_builder, "_CSV_MAX_ROWS", 1000)
+        model = builtin_model("solenoid")
+        csv, out = tmp_path / "sec.csv", tmp_path / "r.json"
+        assert run(["skeleton", "--model", "solenoid", "--depth", "3", "--seeds",
+                    str(8 * per_branch), "--section", "0.25", "--csv-out", str(csv),
+                    "--out", str(out)]) == 0
+        pts = torus_builder.section_cloud(model, 3, per_branch, 0.25).points[:, [1, 2]]
+        ref = tmp_path / "ref.csv"
+        rows = torus_builder.export_cloud_csv(pts, ["x", "y"], str(ref))
+        assert csv.read_bytes() == ref.read_bytes()
+        kept = pts[:: math.ceil(len(pts) / 1000)]
+        saved = io.BytesIO()
+        np.savetxt(saved, kept, delimiter=",", header="x,y", comments="", fmt="%.17g")
+        assert csv.read_bytes() == saved.getvalue()
+        assert json.loads(out.read_text())["results"]["csv"]["rows"] == rows == len(kept)
+
+    def test_section_csv_memory_independent_of_seeds(self, tmp_path):
+        # Row blocks are placed on the boxes and written as they are drawn, so
+        # two million seeds at depth 6 peak at 146,180 KiB of address space
+        # (Python 3.11, numpy 2.4), 200,000 at 144,948 KiB.  The whole (N, 3)
+        # cloud and the copy of its interval columns took it to 223,576 KiB.
+        argv = ["skeleton", "--model", "solenoid", "--depth", "6", "--seeds", "2000000",
+                "--section", "0.0", "--csv-out", "s.csv"]
+        proc = _run_capped(argv, tmp_path, cap=180_000 * 1024)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["results"]["csv"]["rows"] == 2_000_000
+        with open(tmp_path / "s.csv", "rb") as fh:
+            assert sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b"")) \
+                == 2_000_001
+
     def test_thin_branches_report_no_clusters(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["skeleton", "--model", "solenoid", "--depth", "8", "--seeds", "16384",
@@ -307,12 +373,14 @@ class TestSkeletonThreads:
 
 
 class TestDescent:
-    def test_anosov_million_samples_under_450_mb(self, tmp_path):
-        # The residual is reduced per row block: the address space peaks near
-        # 328 MiB, where whole-batch temporaries took it to 541 MiB.
+    def test_anosov_million_samples_under_300000_kib(self, tmp_path):
+        # The residual is reduced per row block: the address space peaks at
+        # 195,904 KiB (Python 3.11, numpy 2.4), while Halton builds its
+        # 8-column array.  A pass that kept the whole pullback took it to
+        # 328 MiB, whole-batch temporaries to 541 MiB.
         argv = ["descent", "--model", "anosov", "--n", "4", "--mu", "1.21", "1.25",
                 "--seed", "7197", "--samples", "1000000"]
-        proc = _run_capped(argv, tmp_path, cap=45 * 10**7)
+        proc = _run_capped(argv, tmp_path, cap=300_000 * 1024)
         assert proc.returncode == 0, proc.stderr
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["status"] == "pass"
@@ -495,7 +563,10 @@ class TestUsageErrors:
         ["certify", "--model", "solenoid", "--samples", "10000000000000"],
         ["descent", "--model", "solenoid", "--samples", "10000000000000"],
         ["skeleton", "--model", "jet-space", "--depth", "1", "--seeds", "10000000000000"],
-    ], ids=["certify-samples", "descent-samples", "skeleton-seeds"])
+        # 16 TB of Halton seeds for the one branch: refused before the CSV is opened.
+        ["skeleton", "--model", "jet-space", "--depth", "1", "--seeds", "1000000000000",
+         "--section", "0.0", "--csv-out", "j.csv"],
+    ], ids=["certify-samples", "descent-samples", "skeleton-seeds", "skeleton-section-csv-seeds"])
     def test_count_too_large_to_allocate_exits_2(self, argv, tmp_path):
         # Hundreds of TiB of points; the 3 GB address-space cap makes the
         # allocation fail at once on any machine.
@@ -503,7 +574,7 @@ class TestUsageErrors:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "r.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("outputs", [
         ["--out", "missing/x"],
@@ -518,6 +589,19 @@ class TestUsageErrors:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["same.out", "./same.out"],
+                             ids=["same.out/same.out", "./same.out/same.out"])
+    def test_report_and_csv_on_one_file_exits_2(self, out, tmp_path, capsys, monkeypatch):
+        # The report once overwrote the CSV and still said "rows": 400.
+        monkeypatch.chdir(tmp_path)
+        argv = ["skeleton", "--model", "solenoid", "--depth", "2", "--seeds", "400",
+                "--section", "0.0", "--csv-out", "same.out", "--out", out]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out and --csv-out name the same file")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -1151,6 +1151,29 @@ class TestSectionCloud:
         assert np.all(np.abs(pts[:, [1, 2]].reshape(256, 100, 2) - centres[:, None]) < half)
         assert np.all(pts[:, 0] == 7.0 % solenoid.chart.coords[0].period)
 
+    @pytest.mark.parametrize("per_branch", [600, 2055])
+    @pytest.mark.parametrize("theta0", [0.0, 0.25, 7.0])
+    @pytest.mark.parametrize("depth", [0, 1, 3, 6])
+    @pytest.mark.parametrize("name", ["solenoid", "jet_space"])
+    def test_bits_match_the_one_shot_closed_form(self, name, depth, theta0, per_branch):
+        # Placed in row blocks (three 600-seed branches a block, or a
+        # 2055-seed branch in two), every value is still np.add(centre_k[col],
+        # step_j[col]) on the operands of the one-shot placement below.
+        model = builtin_model(name)
+        chart = model.chart
+        pi_idx = chart.periodic_idx[0]
+        centres, _ = torus_builder._section_boxes(model, depth, theta0)
+        u = contact_kernel.halton(per_branch, len(chart.interval_idx), 3)
+        want = np.empty((len(centres), per_branch, chart.dim))
+        want[:, :, pi_idx] = theta0 % chart.coords[pi_idx].period
+        for col, (i, rate) in enumerate(zip(chart.interval_idx, model.section.rates)):
+            c = chart.coords[i]
+            step = (c.lo + u[:, col] * (c.hi - c.lo) - (c.lo + c.hi) / 2) * rate**depth
+            np.add(centres[:, col, None], step, out=want[:, :, i])
+        got = section_cloud(model, depth, per_branch, theta0, 3).points
+        assert got.shape == (len(centres) * per_branch, chart.dim)
+        assert got.tobytes() == want.reshape(-1, chart.dim).tobytes()
+
     @pytest.mark.parametrize("depth", [1, 4, 13])
     def test_negative_rate_matches_stepwise_iteration(self, solenoid, depth):
         model, per_branch, theta0 = _negative_rate_solenoid(solenoid), 4, 1.0
